@@ -1,5 +1,7 @@
 """Bit-accurate beamspace equalization simulator for mmWave massive MU-MIMO."""
 
+# First: fixes the BLAS thread count before any module below imports numpy.
+from . import _blas  # noqa: F401
 from .channel import (ChannelMatrix, PathSet, ScenarioConfig, apply_power_control,
                       draw_scenario, steering_vector, synth_ue_channel)
 from .equalize import (EqualizerMatrix, lmmse_filter, omp_filter, quantize_filter,

@@ -17,10 +17,11 @@ from dataclasses import fields
 import numpy as np
 
 from . import hwmodel
-from .channel import ScenarioConfig, draw_scenario, dump_channel_csv
+from .channel import PlacementError, ScenarioConfig, draw_scenario, dump_channel_csv
 from .harness import (ConfigError, SimConfig, UnreachableError,
                       activity_samples, pareto_sweep, run_ber_curve,
                       snr_operating_point)
+from .numerics import DecompositionError
 from .spade import ThresholdPair
 
 # key -> (type, belongs-to-scenario)
@@ -268,7 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, PlacementError, DecompositionError, ValueError, KeyError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,13 +3,16 @@
 Coherence blocks are independent trials; each block derives its own RNG
 stream from (seed, SNR key, block index) so serial and parallel schedules
 produce byte-identical results.  Results merge by associative accumulation
-in canonical block order.
+in canonical block order.  Each public call uses at most one process pool,
+shared by all of its block rounds and shut down before the call returns.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -180,16 +183,47 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
 
+# Per thread: ``pool`` is the process pool of the public call in progress
+# (None until its first parallel round), and ``open`` says whether one is in
+# progress.  Module state, not an argument, so that run_ber_point(cfg, snr_db)
+# and _map_blocks keep the signatures that callers rebinding them rely on.
+_scope = threading.local()
+
+
+@contextmanager
+def _pool_scope():
+    """Share one process pool among all block rounds of a public call.
+
+    The outermost call opens the scope and nested calls (a sweep's
+    bisections, a bisection's BER points) reuse it.  The pool is built on
+    the first parallel round, sized by that round's ``workers``, and shut
+    down when the outermost call exits, by return or by exception.
+    """
+    if getattr(_scope, "open", False):
+        yield
+        return
+    _scope.open, _scope.pool = True, None
+    try:
+        yield
+    finally:
+        pool, _scope.pool, _scope.open = _scope.pool, None, False
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+@_pool_scope()
 def _map_blocks(cfg: SimConfig, snr_db: float, indices) -> list[BlockResult]:
     indices = list(indices)
     if cfg.workers <= 1 or len(indices) <= 1:
         return [_sim_block(cfg, snr_db, i) for i in indices]
     fn = partial(_sim_block, cfg, snr_db)
     chunk = max(1, len(indices) // (4 * cfg.workers))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(fn, indices, chunksize=chunk))
+    if _scope.pool is None:
+        _scope.pool = ProcessPoolExecutor(max_workers=cfg.workers)
+    return list(_scope.pool.map(fn, indices, chunksize=chunk))
 
 
+@_pool_scope()
 def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
     """Accumulate coherence blocks until the bit and error budgets are met."""
     cfg.validate()
@@ -213,10 +247,12 @@ def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
     return BerPoint(snr_db, errors / bits, bits, errors, executed / total)
 
 
+@_pool_scope()
 def run_ber_curve(cfg: SimConfig, snr_grid_db) -> list[BerPoint]:
     return [run_ber_point(cfg, s) for s in snr_grid_db]
 
 
+@_pool_scope()
 def activity_samples(cfg: SimConfig, snr_db: float, num_blocks: int) -> np.ndarray:
     """Per-block multiplier activity rates at a fixed SNR."""
     cfg.validate()
@@ -224,6 +260,7 @@ def activity_samples(cfg: SimConfig, snr_db: float, num_blocks: int) -> np.ndarr
     return np.array([r.executed_real_mults / r.total_real_mults for r in res])
 
 
+@_pool_scope()
 def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
                         resolution_db: float = 0.25) -> float:
     """Minimum SNR (on a resolution_db grid) reaching the target BER.
@@ -249,6 +286,7 @@ def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
     return hi
 
 
+@_pool_scope()
 def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[ParetoPoint]:
     """Evaluate (alpha, SNR operating point) per candidate; keep the Pareto set.
 

@@ -1,7 +1,12 @@
-import numpy as np
+import multiprocessing
 
+import numpy as np
+import pytest
+
+import beamspace.harness as harness
 from beamspace.channel import load_channel_csv
 from beamspace.cli import main
+from beamspace.numerics import DecompositionError
 
 COMMON = ["--num-antennas", "16", "--num-ues", "2", "--coherence-len", "64",
           "--min-bits-per-point", "20000", "--min-errors-per-point", "50",
@@ -59,6 +64,30 @@ def test_bad_algorithm_fails_cleanly(capsys):
     rc = main(["ber", *COMMON, "--algorithm", "zf", "--snr-grid-db", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_infeasible_placement_fails_cleanly(workers, capsys):
+    # 40 UEs x 3 deg pass the sector check (120 deg) but rejection sampling
+    # gives up; at workers=2 the 5-block round raises inside a pool worker
+    rc = main(["ber", "--num-ues", "40", "--min-sep-deg", "3", "--snr-grid-db", "0",
+               "--min-bits-per-point", "100000", "--workers", workers])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not place 40 UEs")
+    assert err.count("\n") == 1
+    assert multiprocessing.active_children() == []
+
+
+def _singular(*args, **kwargs):
+    raise DecompositionError("matrix is not positive definite")
+
+
+def test_decomposition_error_fails_cleanly(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "lmmse_filter", _singular)
+    rc = main(["ber", *COMMON, "--algorithm", "almmse", "--snr-grid-db", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: matrix is not positive definite\n"
 
 
 def test_snrop_unreachable_exit_code(capsys):

@@ -1,8 +1,11 @@
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig
 from beamspace.harness import (ConfigError, SimConfig, UnreachableError,
                                activity_samples, pareto_sweep, run_ber_curve,
@@ -139,6 +142,44 @@ def test_sparse_density_grid_alphas_exact():
     assert set(round(p.alpha, 12) for p in pts) <= {1.0, 0.5, 0.25}
     for p in pts:
         assert p.alpha == p.delta
+
+
+@pytest.fixture
+def pool_count(monkeypatch):
+    """Counts process pools the harness constructs."""
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("call", [
+    lambda w: snr_operating_point(
+        _cfg(algorithm="almmse", snr_lo_db=-10.0, snr_hi_db=25.0, workers=w), 1e-2),
+    lambda w: pareto_sweep(_cfg(algorithm="eomp", snr_lo_db=-5.0, snr_hi_db=25.0,
+                                workers=w), [1.0, 0.5], target_ber=1e-2),
+    lambda w: run_ber_curve(_cfg(algorithm="almmse", workers=w), [0.0, 6.0, 12.0]),
+], ids=["snr_operating_point", "pareto_sweep", "run_ber_curve"])
+def test_one_pool_per_public_call(pool_count, call, workers):
+    call(workers)
+    assert len(pool_count) == (1 if workers > 1 else 0)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_shut_down_after_exception(pool_count):
+    cfg = _cfg(algorithm="almmse", snr_lo_db=-40.0, snr_hi_db=-30.0, workers=2)
+    with pytest.raises(UnreachableError):
+        snr_operating_point(cfg)
+    assert len(pool_count) == 1
+    assert multiprocessing.active_children() == []
+    run_ber_point(cfg, -40.0)  # a later call opens a pool of its own
+    assert len(pool_count) == 2
 
 
 def test_gap_regression_golden():

@@ -12,6 +12,7 @@ import argparse
 import csv
 import os
 import sys
+import typing
 from dataclasses import fields
 
 import numpy as np
@@ -24,36 +25,26 @@ from .harness import (ConfigError, SimConfig, UnreachableError,
 from .numerics import DecompositionError
 from .spade import ThresholdPair
 
-# key -> (type, belongs-to-scenario)
 _BOOL = "bool"
-_CONFIG_KEYS = {
-    "num_antennas": (int, True),
-    "num_ues": (int, True),
-    "los": (_BOOL, True),
-    "sector_deg": (float, True),
-    "min_sep_deg": (float, True),
-    "power_ctrl_db": (float, True),
-    "num_paths_los": (int, True),
-    "num_paths_nlos": (int, True),
-    "los_scatter_db": (float, True),
-    "decay_db_per_path": (float, True),
-    "algorithm": (str, False),
-    "delta": (float, False),
-    "tau_w": (float, False),
-    "tau_y": (float, False),
-    "adc_bits": (int, False),
-    "coherence_len": (int, False),
-    "csi_mode": (str, False),
-    "snr_lo_db": (float, False),
-    "snr_hi_db": (float, False),
-    "min_bits_per_point": (int, False),
-    "min_errors_per_point": (int, False),
-    "max_bits_per_point": (int, False),
-    "Es": (float, False),
-    "seed": (int, False),
-    "arithmetic": (str, False),
-    "workers": (int, False),
-}
+
+
+def _config_keys() -> dict:
+    """key -> (type, belongs-to-scenario) for every ScenarioConfig and
+    SimConfig field but ``scenario``; an optional field takes the type of
+    its non-None alternative."""
+    keys = {}
+    for cls, is_scen in ((ScenarioConfig, True), (SimConfig, False)):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name == "scenario":
+                continue
+            typ = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
+                       if t is not type(None))
+            keys[f.name] = (_BOOL if typ is bool else typ, is_scen)
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 def _parse_value(key: str, raw: str):

@@ -53,22 +53,6 @@ def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
     return float(np.linalg.norm(r, "fro") ** 2 + rho * np.linalg.norm(eq.W, "fro") ** 2)
 
 
-def _restricted_row_solve(H_S: np.ndarray, rho: float, u: int) -> np.ndarray:
-    """Row-u restricted LS: w = e_u^T H_S^H (H_S H_S^H + rho I)^-1."""
-    k = H_S.shape[0]
-    A = H_S @ H_S.conj().T + rho * np.eye(k)
-    # w A = e_u^T H_S^H with A Hermitian, so w^H = A^-1 [H_S]_{:,u}.
-    return np.conj(solve_hermitian_pd(A, H_S[:, u]))
-
-
-def _restricted_solve(H_S: np.ndarray, rho: float) -> np.ndarray:
-    """Shared-support restricted solution W_S = H_S^H (H_S H_S^H + rho I)^-1."""
-    k = H_S.shape[0]
-    A = H_S @ H_S.conj().T + rho * np.eye(k)
-    # W_S^H = A^-1 H_S since A Hermitian.
-    return solve_hermitian_pd(A, H_S).conj().T
-
-
 def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
                domain: str = "beamspace") -> EqualizerMatrix:
     """Strictly sparse filter via orthogonal matching pursuit over beam rows.
@@ -78,50 +62,64 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
     regularized LS each iteration.  mode 'columnwise': one shared support
     picked by the residual-matrix column norm ||R (h_b^r)^H||_2.
     Ties break toward the smallest beam index.
+
+    Both modes work on the U x U Gram G = H_S^H H_S + rho I of a support S
+    instead of the k x k matrix H_S H_S^H + rho I.  By the push-through
+    identity the restricted LS solution is W_S = G^-1 H_S^H and the
+    residual I - W_S H_S is rho G^-1.  Entrywise OMP keeps one Gram per
+    UE and steps all UEs in lockstep: each step adds every UE's new beam
+    h_b^H h_b to its Gram and makes one stacked solve, so a filter costs
+    K solves in either mode.  rho must be positive (G is singular for
+    rho = 0 while |S| < U).
     """
     H = np.asarray(H, dtype=complex)
     B, U = H.shape
     if not 1 <= K <= B:
         raise ValueError(f"K must be in 1..{B}, got {K}")
-    W = np.zeros((U, B), dtype=complex)
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    eye = np.eye(U)
 
     if mode == "entrywise":
-        supports = []
-        for u in range(U):
-            r = np.zeros(U, dtype=complex)
-            r[u] = 1.0
-            S: list[int] = []
-            w_S = np.zeros(0, dtype=complex)
-            for _ in range(K):
-                corr = np.abs(H.conj() @ r)  # |r (h_b^r)^H| per beam b
-                corr[S] = -1.0
-                b_star = int(np.argmax(corr))  # argmax takes the first (smallest) index
-                S.append(b_star)
-                H_S = H[S, :]
-                w_S = _restricted_row_solve(H_S, rho, u)
-                r = np.zeros(U, dtype=complex)
-                r[u] = 1.0
-                r -= w_S @ H_S
-            W[u, S] = w_S
-            supports.append(np.array(sorted(S)))
+        # Column u of X is G_u^-1 e_u, so row u of the residual (G_u is
+        # Hermitian) is rho conj(X[:, u])^T and its correlation with beam b
+        # is rho |H[b] X[:, u]|.  Row u of the filter, on S_u, is
+        # conj(H[S_u] X[:, u])^T.
+        G = np.tile(rho * np.eye(U, dtype=complex), (U, 1, 1))
+        chosen = np.zeros((U, B), dtype=bool)
+        rows = np.arange(U)
+        HX = H                                 # X = I before the first step
+        for _ in range(K):
+            corr = np.abs(HX.T)                # (U, B)
+            corr[chosen] = -1.0
+            b_star = np.argmax(corr, axis=1)   # first (smallest) index on ties
+            chosen[rows, b_star] = True
+            h = H[b_star]                      # (U, U): row u is UE u's new beam
+            G += h.conj()[:, :, None] * h[:, None, :]
+            X = solve_hermitian_pd(G, eye[:, :, None])[..., 0].T
+            HX = H @ X
+        W = np.where(chosen, HX.T.conj(), 0.0)
+        supports = [np.flatnonzero(row) for row in chosen]
         return EqualizerMatrix(W=W, structure="entrywise", domain=domain,
                                support=supports)
 
     if mode == "columnwise":
-        R = np.eye(U, dtype=complex)
-        S = []
-        W_S = np.zeros((U, 0), dtype=complex)
+        Hh = H.conj().T
+        G = rho * eye
+        chosen = np.zeros(B, dtype=bool)
+        Ginv = eye                             # R / rho, with R = I before the first step
         for _ in range(K):
-            score = np.linalg.norm(R @ H.conj().T, axis=0)  # ||R (h_b^r)^H||_2
-            score[S] = -1.0
+            score = np.linalg.norm(Ginv @ Hh, axis=0)  # ||R (h_b^r)^H||_2 / rho
+            score[chosen] = -1.0
             b_star = int(np.argmax(score))
-            S.append(b_star)
-            H_S = H[S, :]
-            W_S = _restricted_solve(H_S, rho)
-            R = np.eye(U, dtype=complex) - W_S @ H_S
-        W[:, S] = W_S
+            chosen[b_star] = True
+            h = H[b_star]
+            G = G + np.outer(h.conj(), h)
+            Ginv = solve_hermitian_pd(G, eye)
+        W = np.zeros((U, B), dtype=complex)
+        W[:, chosen] = Ginv @ Hh[:, chosen]
         return EqualizerMatrix(W=W, structure="columnwise", domain=domain,
-                               support=np.array(sorted(S)))
+                               support=np.flatnonzero(chosen))
 
     raise ValueError(f"unknown OMP mode {mode!r}")
 

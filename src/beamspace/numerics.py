@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class DecompositionError(Exception):
@@ -115,15 +114,22 @@ def to_fixed_complex(z, fmt: FixedFormat) -> FxComplexArray:
 
 
 def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for Hermitian positive-definite A via Cholesky.
+    """Solve A X = B for Hermitian positive-definite A.
 
-    Raises DecompositionError if the factorization encounters a
-    non-positive pivot.
+    A may be one (n, n) matrix or a stack (..., n, n); B is then (n,),
+    (n, k) or a stack (..., n, k) that broadcasts against A.  A Cholesky
+    factorization of the lower triangle checks positive definiteness and
+    raises DecompositionError if any slice has a non-positive pivot; the
+    system itself is solved by LU.  Non-finite input raises ValueError.
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        factor = scipy.linalg.cho_factor(a, lower=True)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(str(exc)) from exc
-    return scipy.linalg.cho_solve(factor, b)
+    return np.linalg.solve(a, b)

@@ -1,11 +1,13 @@
+import argparse
+import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
 
 import beamspace.harness as harness
-from beamspace.channel import load_channel_csv
-from beamspace.cli import main
+from beamspace.channel import ScenarioConfig, load_channel_csv
+from beamspace.cli import _CONFIG_KEYS, build_sim_config, main
 from beamspace.numerics import DecompositionError
 
 COMMON = ["--num-antennas", "16", "--num-ues", "2", "--coherence-len", "64",
@@ -168,3 +170,23 @@ def test_gen_channels(tmp_path):
     H = load_channel_csv(files[0]).H
     assert H.shape == (16, 2)
     assert np.all(np.isfinite(H))
+
+
+def test_config_keys_cover_every_dataclass_field():
+    # optional fields default to None, so their types are spelled out here
+    optional = {"delta": float, "tau_w": float, "tau_y": float,
+                "max_bits_per_point": int}
+    expected = {}
+    for obj, is_scen in ((ScenarioConfig(), True), (harness.SimConfig(), False)):
+        for f in dataclasses.fields(obj):
+            if f.name == "scenario":
+                continue
+            default = getattr(obj, f.name)
+            typ = optional[f.name] if default is None else type(default)
+            expected[f.name] = ("bool" if typ is bool else typ, is_scen)
+    assert _CONFIG_KEYS == expected
+    cfg = build_sim_config(argparse.Namespace(config=None, max_placement_tries="5",
+                                              los="false", delta="0.5"),
+                           validate=False)
+    assert cfg.scenario.max_placement_tries == 5
+    assert cfg.scenario.los is False and cfg.delta == 0.5

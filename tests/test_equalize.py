@@ -3,10 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from beamspace.equalize import (EqualizerMatrix, _restricted_solve,
-                                dump_filter_csv, lmmse_filter, omp_filter,
-                                quantize_filter, residual_objective)
-from beamspace.frontend import dft_unitary
+import beamspace.equalize as equalize
+from beamspace.channel import ScenarioConfig, draw_scenario
+from beamspace.equalize import (EqualizerMatrix, dump_filter_csv, lmmse_filter,
+                                omp_filter, quantize_filter, residual_objective)
+from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
+                                optimal_unit_step, perfect_csi, receive,
+                                unified_step)
 from beamspace.numerics import BEAMSPACE_W_FMT, FixedFormat
 
 
@@ -85,8 +88,10 @@ def test_comp_vs_exhaustive_support_oracle():
         obj = residual_objective(eq, H, rho)
         best = np.inf
         for S in itertools.combinations(range(6), 2):
+            H_S = H[list(S), :]
             W = np.zeros((2, 6), dtype=complex)
-            W[:, list(S)] = _restricted_solve(H[list(S), :], rho)
+            W[:, list(S)] = H_S.conj().T @ np.linalg.inv(
+                H_S @ H_S.conj().T + rho * np.eye(len(S)))
             best = min(best, residual_objective(EqualizerMatrix(W=W), H, rho))
         assert obj >= best - 1e-9
         # COMP's solution on its own support matches the closed-form oracle
@@ -127,6 +132,97 @@ def test_omp_k_out_of_range():
         omp_filter(H, 0.1, 0, "entrywise")
     with pytest.raises(ValueError):
         omp_filter(H, 0.1, 5, "columnwise")
+    with pytest.raises(ValueError):
+        omp_filter(H, 0.0, 1, "entrywise")
+
+
+def _harness_instance(i):
+    """Beamspace CSI and rho as the BER harness builds them for one block:
+    64 antennas, 8 UEs, 6-bit ADC at an SNR in the swept range, perfect or
+    LS channel estimates; LoS for even i, non-LoS for odd i."""
+    rng = np.random.default_rng([31, i])
+    H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
+                      rng).H
+    N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
+    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, 1.0, N0, 6))
+    if rng.integers(2):
+        Hb = dft_unitary(perfect_csi(H, adc.step))
+    else:
+        pilots = dft_pilots(8, 1.0)
+        _, yb = receive(H, pilots, N0, adc, rng)
+        Hb = ls_estimate(yb.values, pilots, 1.0)
+    return Hb, N0 / adc.step ** 2
+
+
+def _per_ue_omp_oracle(H, rho, K, mode):
+    """OMP as written from its definition: one UE (or the shared support) at
+    a time, each step re-solving the k x k restricted regularized LS
+    H_S^H (H_S H_S^H + rho I)^-1 through an explicit inverse."""
+    B, U = H.shape
+    W = np.zeros((U, B), dtype=complex)
+
+    def restricted(S):
+        H_S = H[S, :]
+        return H_S, H_S.conj().T @ np.linalg.inv(H_S @ H_S.conj().T
+                                                 + rho * np.eye(len(S)))
+
+    if mode == "entrywise":
+        supports = []
+        for u in range(U):
+            r, S = np.eye(U, dtype=complex)[u], []
+            for _ in range(K):
+                corr = np.abs(H.conj() @ r)
+                corr[S] = -1.0
+                S.append(int(np.argmax(corr)))
+                H_S, W_S = restricted(S)
+                r = np.eye(U)[u] - W_S[u] @ H_S
+            W[u, S] = W_S[u]
+            supports.append(sorted(S))
+        return W, supports
+    R, S = np.eye(U, dtype=complex), []
+    for _ in range(K):
+        score = np.linalg.norm(R @ H.conj().T, axis=0)
+        score[S] = -1.0
+        S.append(int(np.argmax(score)))
+        H_S, W_S = restricted(S)
+        R = np.eye(U) - W_S @ H_S
+    W[:, S] = W_S
+    return W, sorted(S)
+
+
+def test_omp_matches_per_ue_oracle_on_harness_corpus():
+    # 200 instances: LoS/non-LoS alternate, K = 16 and 32 (delta 0.25, 0.5)
+    # in pairs, so each of the four combinations gets 50, in both modes.
+    for i in range(200):
+        H, rho = _harness_instance(i)
+        K = (16, 32)[i // 2 % 2]
+        for mode in ("entrywise", "columnwise"):
+            eq = quantize_filter(omp_filter(H, rho, K, mode), BEAMSPACE_W_FMT)
+            W_ref, support_ref = _per_ue_omp_oracle(H, rho, K, mode)
+            ref = quantize_filter(EqualizerMatrix(W=W_ref), BEAMSPACE_W_FMT)
+            support = ([s.tolist() for s in eq.support] if mode == "entrywise"
+                       else eq.support.tolist())
+            assert support == support_ref, (i, mode)
+            assert eq.scale_exp == ref.scale_exp, (i, mode)
+            assert np.array_equal(eq.fx.re, ref.fx.re), (i, mode)
+            assert np.array_equal(eq.fx.im, ref.fx.im), (i, mode)
+
+
+@pytest.mark.parametrize("mode", ["entrywise", "columnwise"])
+def test_omp_makes_one_solve_per_step(monkeypatch, mode):
+    calls = []
+    solve = equalize.solve_hermitian_pd
+
+    def counting_solve(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(equalize, "solve_hermitian_pd", counting_solve)
+    H, rho = _harness_instance(0)
+    for K in (1, 16, 32):
+        calls.clear()
+        omp_filter(H, rho, K, mode)
+        assert len(calls) == K
 
 
 def test_antenna_beamspace_filter_equivalence():

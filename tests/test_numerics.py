@@ -130,3 +130,43 @@ def test_solve_rejects_non_pd():
     A = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(DecompositionError):
         solve_hermitian_pd(A, np.eye(2))
+
+
+def _rand_pd_stack(rng, m, n):
+    G = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return G @ G.conj().transpose(0, 2, 1) + np.eye(n)
+
+
+def test_solve_stacked_equals_slice_by_slice():
+    rng = np.random.default_rng(11)
+    A = _rand_pd_stack(rng, 8, 5)
+    B = rng.standard_normal((8, 5, 3)) + 1j * rng.standard_normal((8, 5, 3))
+    X = solve_hermitian_pd(A, B)
+    assert X.shape == (8, 5, 3)
+    for a, b, x in zip(A, B, X):
+        assert np.allclose(x, solve_hermitian_pd(a, b), atol=1e-12)
+    # one right-hand side broadcast against the whole stack
+    X = solve_hermitian_pd(A, np.eye(5))
+    for a, x in zip(A, X):
+        assert np.allclose(x, np.linalg.inv(a), atol=1e-10)
+
+
+def test_solve_rejects_one_non_pd_slice():
+    rng = np.random.default_rng(12)
+    A = _rand_pd_stack(rng, 4, 3)
+    A[2] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(DecompositionError):
+        solve_hermitian_pd(A, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_input(bad):
+    A = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    A_bad = A.copy()
+    A_bad[1, 0, 0] = bad
+    with pytest.raises(ValueError):
+        solve_hermitian_pd(A_bad, np.eye(2))
+    B = np.eye(2)
+    B[1, 1] = bad
+    with pytest.raises(ValueError):
+        solve_hermitian_pd(A, B)

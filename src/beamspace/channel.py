@@ -82,10 +82,14 @@ def steering_vector(phi: float, num_antennas: int) -> np.ndarray:
     return np.exp(1j * phi * np.arange(num_antennas))
 
 
+def _basis(freqs: np.ndarray, num_antennas: int) -> np.ndarray:
+    """Steering vectors of paths with spatial frequencies (..., L): (..., B, L)."""
+    return np.exp(1j * (np.arange(num_antennas)[:, None] * freqs[..., None, :]))
+
+
 def synth_ue_channel(paths: PathSet, num_antennas: int) -> np.ndarray:
     """Superpose path steering vectors: h = sum_l alpha_l a(phi_l)."""
-    basis = np.exp(1j * np.outer(np.arange(num_antennas), paths.spatial_freqs))
-    return basis @ paths.gains
+    return _basis(paths.spatial_freqs, num_antennas) @ paths.gains
 
 
 def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -104,53 +108,55 @@ def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator,
-                azimuth_deg: float) -> PathSet:
+def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.ndarray):
+    """Complex gains and spatial frequencies (U, L) of every UE's paths.
+
+    Scalar draws per UE: for LoS the phase of the dominant unit-power path
+    at the UE azimuth; then per scattered path (every non-LoS path) a normal,
+    a normal and a uniform angle in the sector.  The arithmetic is batched.
+    """
     half = cfg.sector_deg / 2.0
     if cfg.los:
-        num = cfg.num_paths_los
-        # Dominant path: fixed unit power, uniform phase, at the UE azimuth.
-        gains = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]
-        freqs = [np.pi * np.sin(np.deg2rad(azimuth_deg))]
-        scatter_pow = 10.0 ** (cfg.los_scatter_db / 10.0)
-        for _ in range(num - 1):
-            g = (rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(scatter_pow / 2.0)
-            gains.append(g)
-            freqs.append(np.pi * np.sin(np.deg2rad(rng.uniform(-half, half))))
+        powers = np.full(cfg.num_paths_los - 1, 10.0 ** (cfg.los_scatter_db / 10.0))
     else:
-        num = cfg.num_paths_nlos
-        powers = 10.0 ** (-cfg.decay_db_per_path * np.arange(num) / 10.0)
+        powers = 10.0 ** (-cfg.decay_db_per_path * np.arange(cfg.num_paths_nlos) / 10.0)
         powers /= powers.sum()
-        gains = []
-        freqs = []
-        for p in powers:
-            g = (rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(p / 2.0)
-            gains.append(g)
-            freqs.append(np.pi * np.sin(np.deg2rad(rng.uniform(-half, half))))
-    return PathSet(np.array(gains), np.array(freqs))
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random().
+    phases, draws = [], []
+    for _ in azimuths_deg:
+        if cfg.los:
+            phases.append(2.0 * np.pi * rng.random())
+        draws += [(rng.standard_normal(), rng.standard_normal(), rng.random())
+                  for _ in powers]
+    d = np.array(draws).reshape(len(azimuths_deg), len(powers), 3)
+    gains = (d[..., 0] + 1j * d[..., 1]) * np.sqrt(powers / 2.0)
+    freqs = np.pi * np.sin(np.deg2rad(-half + 2.0 * half * d[..., 2]))
+    if cfg.los:
+        gains = np.hstack([np.exp(1j * np.array(phases))[:, None], gains])
+        freqs = np.hstack([np.pi * np.sin(np.deg2rad(azimuths_deg))[:, None], freqs])
+    return gains, freqs
 
 
 def apply_power_control(H: np.ndarray, range_db: float, target: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Rescale each column so its power sits uniformly within +/- range_db of target."""
     H = np.asarray(H, dtype=complex)
-    out = H.copy()
-    for u in range(H.shape[1]):
-        p = np.linalg.norm(H[:, u]) ** 2
-        if p == 0.0:
-            raise ValueError(f"column {u} has zero power")
-        offset_db = rng.uniform(-range_db, range_db)
-        out[:, u] *= np.sqrt(target * 10.0 ** (offset_db / 10.0) / p)
-    return out
+    powers = [np.linalg.norm(h) ** 2 for h in H.T]
+    if 0.0 in powers:
+        raise ValueError(f"column {powers.index(0.0)} has zero power")
+    offsets_db = rng.uniform(-range_db, range_db, size=len(powers)).tolist()
+    return H * np.array([np.sqrt(target * 10.0 ** (o / 10.0) / p)
+                         for o, p in zip(offsets_db, powers)])
 
 
 def draw_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelMatrix:
     """Draw UE placements and path gains, returning a power-controlled channel."""
     angles = _draw_angles(cfg, rng)
-    paths = [_draw_paths(cfg, rng, a) for a in angles]
-    H = np.column_stack([synth_ue_channel(p, cfg.num_antennas) for p in paths])
+    gains, freqs = _draw_paths(cfg, rng, angles)
+    H = np.column_stack([b @ g for b, g in zip(_basis(freqs, cfg.num_antennas), gains)])
     H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rng)
-    return ChannelMatrix(H=H, angles_deg=angles, paths=paths)
+    return ChannelMatrix(H=H, angles_deg=angles,
+                         paths=[PathSet(g, f) for g, f in zip(gains, freqs)])
 
 
 def dump_channel_csv(H: np.ndarray, path) -> None:

@@ -97,20 +97,19 @@ def quantize_adc(z: np.ndarray, step: float, bits: int) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
     half_levels = 1 << (bits - 1)
-
-    def _q(x):
-        idx = np.clip(np.floor(np.asarray(x, dtype=float) / step),
-                      -half_levels, half_levels - 1)
-        return idx + 0.5
-
-    z = np.asarray(z)
-    return _q(z.real) + 1j * _q(z.imag)
+    # Both rails in one pass over the interleaved float view.
+    q = np.floor(np.ascontiguousarray(z, dtype=complex).view(float) / step)
+    np.clip(q, -half_levels, half_levels - 1, out=q)
+    q += 0.5
+    return q.view(complex).reshape(np.shape(z))
 
 
 def dft_unitary(x: np.ndarray) -> np.ndarray:
     """Unitary DFT along the first axis (F F^H = I)."""
     x = np.asarray(x, dtype=complex)
-    return np.fft.fft(x, axis=0) / np.sqrt(x.shape[0])
+    out = np.fft.fft(x, axis=0)
+    out *= 1.0 / np.sqrt(x.shape[0])    # what dividing by sqrt(B) computes
+    return out
 
 
 def idft_unitary(x: np.ndarray) -> np.ndarray:
@@ -120,7 +119,8 @@ def idft_unitary(x: np.ndarray) -> np.ndarray:
 
 def draw_noise(shape, N0: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise with per-entry variance N0."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(N0 / 2.0)
+    n = rng.standard_normal((2,) + np.broadcast_shapes(shape))   # the same stream as two draws
+    return (n[0] + 1j * n[1]) * np.sqrt(N0 / 2.0)
 
 
 def receive(H: np.ndarray, s: np.ndarray, N0: float,
@@ -138,10 +138,8 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float,
         return (ReceiveVector("antenna", z, None),
                 ReceiveVector("beamspace", dft_unitary(z), None))
     ybar = quantize_adc(z, adc.step, adc.bits)
-    yb = dft_unitary(ybar)
-    re, _ = to_fixed(yb.real, BEAMSPACE_Y_FMT)
-    im, _ = to_fixed(yb.imag, BEAMSPACE_Y_FMT)
-    yb_q = (re + 1j * im) * BEAMSPACE_Y_FMT.lsb
+    codes, _ = to_fixed(dft_unitary(ybar).view(float), BEAMSPACE_Y_FMT)
+    yb_q = (codes * BEAMSPACE_Y_FMT.lsb).view(complex)
     return (ReceiveVector("antenna", ybar, ANTENNA_Y_FMT),
             ReceiveVector("beamspace", yb_q, BEAMSPACE_Y_FMT))
 

@@ -4,7 +4,8 @@ Coherence blocks are independent trials; each block derives its own RNG
 stream from (seed, SNR key, block index) so serial and parallel schedules
 produce byte-identical results.  Results merge by associative accumulation
 in canonical block order.  Each public call uses at most one process pool,
-shared by all of its block rounds and shut down before the call returns.
+shared by all of its block rounds and shut down before the call returns,
+and evaluates each (config, SNR) BER point at most once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -162,51 +163,45 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
     yvec = ybar if alg == "almmse" else yb
 
     total_mults = 4 * U * B * T
+    # A K-beam sparse filter executes 4KUT products; float arithmetic skips none.
+    executed = 4 * K * U * T if alg in ("eomp", "comp") else total_mults
     if cfg.arithmetic == "float":
         shat = eq.W @ yvec.values
-        executed = total_mults if alg in ("almmse", "blmmse", "spade", "cspade") \
-            else 4 * max(1, round(cfg.delta * B)) * U * T
     elif alg in ("spade", "cspade"):
         est, rep = adaptive_mvm(eq, yvec, ThresholdPair(cfg.tau_w, cfg.tau_y), alg)
-        shat = est.values
-        executed = rep.executed_real_mults
+        shat, executed = est.values, rep.executed_real_mults
     else:
-        est = exact_mvm_fixed(eq, yvec)
-        shat = est.values
-        if alg in ("eomp", "comp"):
-            executed = 4 * max(1, round(cfg.delta * B)) * U * T
-        else:
-            executed = total_mults
+        shat = exact_mvm_fixed(eq, yvec).values
 
     rx_bits = demap_hard(shat.T, Es)  # (T, U, 4)
     errors = int(np.sum(rx_bits != tx_bits))
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
 
-# Per thread: ``pool`` is the process pool of the public call in progress
-# (None until its first parallel round), and ``open`` says whether one is in
-# progress.  Module state, not an argument, so that run_ber_point(cfg, snr_db)
-# and _map_blocks keep the signatures that callers rebinding them rely on.
+# Per thread: the public call in progress (``open``), its process pool
+# (``pool``, None until its first parallel round) and BER points by (config,
+# SNR) (``points``).  Module state, not an argument, so that run_ber_point and
+# _map_blocks keep the signatures that callers rebinding them rely on.
 _scope = threading.local()
 
 
 @contextmanager
 def _pool_scope():
-    """Share one process pool among all block rounds of a public call.
+    """Share one process pool and one BER-point memo within a public call.
 
     The outermost call opens the scope and nested calls (a sweep's
     bisections, a bisection's BER points) reuse it.  The pool is built on
-    the first parallel round, sized by that round's ``workers``, and shut
-    down when the outermost call exits, by return or by exception.
+    the first parallel round, sized by that round's ``workers``; pool and
+    memo end when the outermost call exits, by return or by exception.
     """
     if getattr(_scope, "open", False):
         yield
         return
-    _scope.open, _scope.pool = True, None
+    _scope.open, _scope.pool, _scope.points = True, None, {}
     try:
         yield
     finally:
-        pool, _scope.pool, _scope.open = _scope.pool, None, False
+        pool, _scope.pool, _scope.points, _scope.open = _scope.pool, None, None, False
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -225,8 +220,11 @@ def _map_blocks(cfg: SimConfig, snr_db: float, indices) -> list[BlockResult]:
 
 @_pool_scope()
 def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
-    """Accumulate coherence blocks until the bit and error budgets are met."""
+    """Accumulate blocks until the bit and error budgets are met; memoized per public call."""
     cfg.validate()
+    key = (astuple(cfg), snr_db)
+    if key in _scope.points:
+        return _scope.points[key]
     bits_per_block = cfg.scenario.num_ues * BITS_PER_SYMBOL * cfg.coherence_len
     blocks_per_round = max(1, math.ceil(cfg.min_bits_per_point / bits_per_block))
     max_bits = cfg.max_bits_per_point or 4 * cfg.min_bits_per_point
@@ -244,7 +242,8 @@ def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
         if bits >= cfg.min_bits_per_point and (
                 errors >= cfg.min_errors_per_point or bits >= max_bits):
             break
-    return BerPoint(snr_db, errors / bits, bits, errors, executed / total)
+    _scope.points[key] = BerPoint(snr_db, errors / bits, bits, errors, executed / total)
+    return _scope.points[key]
 
 
 @_pool_scope()

@@ -37,21 +37,12 @@ def _slice_dim(x: np.ndarray) -> np.ndarray:
     Values exactly on a threshold round toward the lower-magnitude level
     (0.0 resolves to +1, matching the quantizer's sign-of-zero rule).
     """
-    idx = np.zeros(x.shape, dtype=np.int64)
-    idx = np.where(x >= 0.0, 2, 1)
-    idx = np.where(x > 2.0, 3, idx)
-    idx = np.where(x < -2.0, 0, idx)
-    return idx
+    return (x >= -2.0).astype(np.int64) + (x >= 0.0) + (x > 2.0)
 
 
 def demap_hard(symbols: np.ndarray, Es: float = 1.0) -> np.ndarray:
     """Nearest-point hard decisions: symbols (...) -> bits (..., 4)."""
     s = np.asarray(symbols) / _norm(Es)
-    gi = _LEVEL_INDEX_TO_GRAY[_slice_dim(s.real)]
-    gq = _LEVEL_INDEX_TO_GRAY[_slice_dim(s.imag)]
-    bits = np.empty(s.shape + (BITS_PER_SYMBOL,), dtype=np.int64)
-    bits[..., 0] = gi >> 1
-    bits[..., 1] = gi & 1
-    bits[..., 2] = gq >> 1
-    bits[..., 3] = gq & 1
-    return bits
+    rails = np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,))
+    g = _LEVEL_INDEX_TO_GRAY[_slice_dim(rails)]     # (..., 2): in-phase, quadrature
+    return np.stack([g >> 1, g & 1], axis=-1).reshape(s.shape + (BITS_PER_SYMBOL,))

@@ -1,11 +1,14 @@
 """Sparsity-adaptive fixed-point matrix-vector products.
 
-exact_mvm_fixed is the bit-exact integer MVM kernel shared by all
-fixed-point equalizers.  adaptive_mvm applies the SPADE (per real
-multiplication) or CSPADE (per complex multiplication) skip rules and
-counts executed real multiplications; skipped products contribute exact
-zero.  masked_reference is a deliberately independent mask-then-multiply
-oracle for adaptive_mvm.
+One kernel serves every fixed-point equalizer: it multiplies the integer
+operand codes as float64 complex matrices, acc = W Y - W_lo Y_lo.  W_lo and
+Y_lo keep only the operands strictly below their thresholds (each real rail
+for SPADE, each complex entry for CSPADE), so W_lo Y_lo sums exactly the
+skipped products, and 4UBT - sum_b n_w[b] n_y[b] real products execute, with
+n[b] the below-threshold rails of beam b.  The float64 sums are exact while
+2 B 2^(Ww-1) 2^(Wy-1) < 2^53 for operand widths Ww and Wy, which the kernel
+checks.  exact_mvm_fixed is the kernel with nothing skipped;
+masked_reference is a deliberately independent mask-then-multiply oracle.
 """
 
 from __future__ import annotations
@@ -71,13 +74,17 @@ def linf_tilde(x) -> np.ndarray:
     return np.maximum(np.abs(x.real), np.abs(x.imag))
 
 
-def _operand_codes(eq: EqualizerMatrix, y: ReceiveVector):
+def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
     if eq.fx is None:
         raise ValueError("equalizer has no fixed-point view; call quantize_filter first")
     if y.fmt is None:
         raise ValueError("received vector is not quantized")
     if eq.domain != y.domain:
         raise ValueError(f"domain mismatch: filter {eq.domain!r} vs data {y.domain!r}")
+
+
+def _operand_codes(eq: EqualizerMatrix, y: ReceiveVector):
+    _check_operands(eq, y)
     wr = eq.fx.re.astype(np.int64)
     wi = eq.fx.im.astype(np.int64)
     vals = np.asarray(y.values)
@@ -95,15 +102,53 @@ def _requantize_acc(acc_re, acc_im, frac_in: int, scale_exp: int,
     return EstimateVector(cr.astype(np.int64), ci.astype(np.int64), out_fmt)
 
 
+def check_float64_exact(num_beams: int, w_fmt: FixedFormat, y_fmt: FixedFormat) -> None:
+    """Raise ValueError unless float64 sums num_beams products of the codes exactly."""
+    if 2 * num_beams * -w_fmt.min_code * -y_fmt.min_code >= 2 ** 53:
+        raise ValueError(f"{num_beams}-beam {w_fmt} x {y_fmt} products are inexact in float64")
+
+
+def _below(x: np.ndarray, t: float, per_rail: bool, beam_axis: int):
+    """x with every operand at or above t zeroed, and its below-threshold rails per
+    beam.  An operand is a real rail (SPADE) or a complex entry (CSPADE: two rails)."""
+    rails = x.view(float).reshape(x.shape + (2,))
+    low = np.abs(rails) < t
+    if per_rail:
+        return (rails * low).view(complex)[..., 0], low.sum(axis=(1 - beam_axis, 2))
+    low = low[..., 0] & low[..., 1]     # an entry is below only if both rails are
+    return x * low, 2 * low.sum(axis=1 - beam_axis)
+
+
+def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
+         out_fmt: FixedFormat):
+    """acc = W Y - W_lo Y_lo on float64 codes; returns (EstimateVector, ActivityReport)."""
+    _check_operands(eq, y)
+    W = eq.fx.re + 1j * eq.fx.im
+    U, B = W.shape
+    check_float64_exact(B, eq.fx.fmt, y.fmt)
+    Y = np.rint(np.ascontiguousarray(y.values, dtype=complex).view(float)
+                * 2.0 ** y.fmt.frac).view(complex).reshape(B, -1)
+    # Thresholds in code units, matching the operand codes.
+    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
+    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
+    acc = W @ Y
+    skipped = 0
+    if tw > 0 and ty > 0:               # a skip needs both operands below threshold
+        W_lo, n_w = _below(W, tw, scheme != "cspade", 1)
+        Y_lo, n_y = _below(Y, ty, scheme != "cspade", 0)
+        acc -= W_lo @ Y_lo
+        skipped = int(n_w @ n_y)
+    acc = acc.reshape((U,) + np.shape(y.values)[1:])
+    frac_in = eq.fx.fmt.frac + y.fmt.frac
+    est = _requantize_acc(acc.real, acc.imag, frac_in, eq.scale_exp, out_fmt)
+    return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size, scheme)
+
+
 def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector,
                     out_fmt: FixedFormat = ESTIMATE_FMT) -> EstimateVector:
     """Bit-exact fixed-point MVM: integer partial products, wide accumulator,
     2^-k compensation, saturating requantization to out_fmt."""
-    wr, wi, yr, yi = _operand_codes(eq, y)
-    acc_re = wr @ yr - wi @ yi
-    acc_im = wr @ yi + wi @ yr
-    frac_in = eq.fx.fmt.frac + y.fmt.frac
-    return _requantize_acc(acc_re, acc_im, frac_in, eq.scale_exp, out_fmt)
+    return _mvm(eq, y, ThresholdPair(0.0, 0.0), "exact", out_fmt)[0]
 
 
 def _quantize_threshold(tau: float, fmt: FixedFormat) -> float:
@@ -117,48 +162,9 @@ def adaptive_mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
                  scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT):
     """SPADE/CSPADE MVM: skip products whose operands both fall strictly below
     their thresholds.  Returns (EstimateVector, ActivityReport)."""
-    wr, wi, yr, yi = _operand_codes(eq, y)
-    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
-    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
-    # tw/ty are now in code units, matching the integer operand arrays.
-
-    batched = yr.ndim == 2
-    yr2 = yr if batched else yr[:, None]
-    yi2 = yi if batched else yi[:, None]
-
-    if scheme == "spade":
-        awr = np.abs(wr) >= tw          # (U, B)
-        awi = np.abs(wi) >= tw
-        ayr = np.abs(yr2) >= ty         # (B, T)
-        ayi = np.abs(yi2) >= ty
-        e_rr = awr[:, :, None] | ayr[None, :, :]
-        e_ii = awi[:, :, None] | ayi[None, :, :]
-        e_ri = awr[:, :, None] | ayi[None, :, :]
-        e_ir = awi[:, :, None] | ayr[None, :, :]
-        acc_re = (np.einsum("ub,bt,ubt->ut", wr, yr2, e_rr)
-                  - np.einsum("ub,bt,ubt->ut", wi, yi2, e_ii))
-        acc_im = (np.einsum("ub,bt,ubt->ut", wr, yi2, e_ri)
-                  + np.einsum("ub,bt,ubt->ut", wi, yr2, e_ir))
-        executed = int(e_rr.sum() + e_ii.sum() + e_ri.sum() + e_ir.sum())
-    elif scheme == "cspade":
-        aw = (np.abs(wr) >= tw) | (np.abs(wi) >= tw)    # linf_tilde(W) >= tau_w
-        ay = (np.abs(yr2) >= ty) | (np.abs(yi2) >= ty)  # linf_tilde(y) >= tau_y
-        e = aw[:, :, None] | ay[None, :, :]
-        acc_re = (np.einsum("ub,bt,ubt->ut", wr, yr2, e)
-                  - np.einsum("ub,bt,ubt->ut", wi, yi2, e))
-        acc_im = (np.einsum("ub,bt,ubt->ut", wr, yi2, e)
-                  + np.einsum("ub,bt,ubt->ut", wi, yr2, e))
-        executed = 4 * int(e.sum())
-    else:
+    if scheme not in ("spade", "cspade"):
         raise ValueError(f"unknown scheme {scheme!r}")
-
-    if not batched:
-        acc_re = acc_re[:, 0]
-        acc_im = acc_im[:, 0]
-    total = 4 * wr.shape[0] * wr.shape[1] * yr2.shape[1]
-    frac_in = eq.fx.fmt.frac + y.fmt.frac
-    est = _requantize_acc(acc_re, acc_im, frac_in, eq.scale_exp, out_fmt)
-    return est, ActivityReport(executed, total, scheme)
+    return _mvm(eq, y, thr, scheme, out_fmt)
 
 
 def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,

@@ -88,8 +88,8 @@ def test_power_control_zero_offset():
     H = 2.0 * np.ones((4, 1), dtype=complex)  # power 16 = 4B
 
     class _ZeroRng:
-        def uniform(self, lo, hi):
-            return 0.0
+        def uniform(self, lo, hi, size):
+            return np.zeros(size)
 
     out = apply_power_control(H, 3.0, 4.0, _ZeroRng())
     assert abs(np.linalg.norm(out[:, 0]) ** 2 - 4.0) < 1e-12
@@ -99,8 +99,8 @@ def test_power_control_plus3_offset():
     H = np.ones((4, 1), dtype=complex)
 
     class _TopRng:
-        def uniform(self, lo, hi):
-            return hi
+        def uniform(self, lo, hi, size):
+            return np.full(size, hi)
 
     out = apply_power_control(H, 3.0, 4.0, _TopRng())
     assert abs(np.linalg.norm(out[:, 0]) ** 2 - 4.0 * 10 ** 0.3) < 1e-9
@@ -145,3 +145,55 @@ def test_channel_csv_roundtrip(tmp_path):
     loaded = load_channel_csv(path)
     assert isinstance(loaded, ChannelMatrix)
     assert np.array_equal(loaded.H, scen.H)
+
+
+def _frozen_draw_scenario(cfg, rng):
+    """draw_scenario as first written: per-path scalar arithmetic, one
+    steering basis per UE, one power-control draw per column."""
+    half = cfg.sector_deg / 2.0
+    for _ in range(cfg.max_placement_tries):
+        angles = rng.uniform(-half, half, size=cfg.num_ues)
+        gaps = np.abs(angles[:, None] - angles[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if cfg.num_ues == 1 or gaps.min() >= cfg.min_sep_deg:
+            break
+    paths = []
+    for az in angles:
+        if cfg.los:
+            gains = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))]
+            freqs = [np.pi * np.sin(np.deg2rad(az))]
+            powers = [10.0 ** (cfg.los_scatter_db / 10.0)] * (cfg.num_paths_los - 1)
+        else:
+            gains, freqs = [], []
+            powers = 10.0 ** (-cfg.decay_db_per_path * np.arange(cfg.num_paths_nlos) / 10.0)
+            powers /= powers.sum()
+        for p in powers:
+            gains.append((rng.standard_normal() + 1j * rng.standard_normal())
+                         * np.sqrt(p / 2.0))
+            freqs.append(np.pi * np.sin(np.deg2rad(rng.uniform(-half, half))))
+        paths.append((np.array(gains), np.array(freqs)))
+    H = np.column_stack([
+        np.exp(1j * np.outer(np.arange(cfg.num_antennas), f)) @ g for g, f in paths])
+    out = H.copy()
+    for u in range(H.shape[1]):
+        p = np.linalg.norm(H[:, u]) ** 2
+        offset_db = rng.uniform(-cfg.power_ctrl_db, cfg.power_ctrl_db)
+        out[:, u] *= np.sqrt(cfg.num_antennas * 10.0 ** (offset_db / 10.0) / p)
+    return out, angles, paths
+
+
+@pytest.mark.parametrize("los", [True, False])
+@pytest.mark.parametrize("num_ues", [1, 8, 16])
+def test_draw_scenario_matches_frozen_copy(los, num_ues):
+    # H, angles and paths byte for byte, and the rng state after the draw.
+    cfg = ScenarioConfig(num_antennas=64, num_ues=num_ues, los=los)
+    for seed in range(40):
+        r_new, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        scen = draw_scenario(cfg, r_new)
+        H, angles, paths = _frozen_draw_scenario(cfg, r_ref)
+        assert scen.H.tobytes() == H.tobytes()
+        assert scen.angles_deg.tobytes() == angles.tobytes()
+        for got, (gains, freqs) in zip(scen.paths, paths, strict=True):
+            assert got.gains.tobytes() == gains.tobytes()
+            assert got.spatial_freqs.tobytes() == freqs.tobytes()
+        assert r_new.bit_generator.state == r_ref.bit_generator.state

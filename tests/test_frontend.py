@@ -8,7 +8,7 @@ from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary,
                                 draw_noise, idft_unitary, ls_estimate,
                                 optimal_unit_step, perfect_csi, quantize_adc,
                                 quantizer_mse, receive, unified_step)
-from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT
+from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, to_fixed
 
 # Recorded from this implementation at build time; guards against drift.
 LS_REL_ERR_GOLDEN = 0.07688070016788927
@@ -203,3 +203,47 @@ def test_ls_estimate_golden_relative_error():
     rel = np.linalg.norm(Ha - ref) / np.linalg.norm(ref)
     assert abs(rel - LS_REL_ERR_GOLDEN) < 1e-9
     assert rel < 0.1
+
+
+def _frozen_receive(H, s, N0, adc, rng):
+    """receive as first written: two noise draws, one quantizer pass and one
+    to_fixed call per rail, DFT by division."""
+    shape = (H.shape[0],) + np.shape(s)[1:]
+    z = H @ s + (rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape)) * np.sqrt(N0 / 2.0)
+
+    def dft(x):
+        return np.fft.fft(x, axis=0) / np.sqrt(x.shape[0])
+
+    if adc is None:
+        return z, dft(z)
+    half_levels = 1 << (adc.bits - 1)
+
+    def q(x):
+        return np.clip(np.floor(x / adc.step), -half_levels, half_levels - 1) + 0.5
+
+    ybar = q(z.real) + 1j * q(z.imag)
+    yb = dft(ybar)
+    re, _ = to_fixed(yb.real, BEAMSPACE_Y_FMT)
+    im, _ = to_fixed(yb.imag, BEAMSPACE_Y_FMT)
+    return ybar, (re + 1j * im) * BEAMSPACE_Y_FMT.lsb
+
+
+def test_receive_matches_frozen_copy():
+    # 1-8 bit ADCs and no ADC; batched and 1-D; values and the rng state after.
+    rng = np.random.default_rng(9)
+    for i in range(180):
+        bits = i % 9
+        H = rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8))
+        shape = (8,) if i % 4 == 0 else (8, int(rng.integers(1, 130)))
+        s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        N0 = float(rng.uniform(0.01, 4.0))
+        adc = AdcConfig(bits, optimal_unit_step(bits),
+                        unified_step(H, 1.0, N0, bits)) if bits else None
+        r_new, r_ref = np.random.default_rng([i, 1]), np.random.default_rng([i, 1])
+        got = receive(H, s, N0, adc, r_new)
+        ref = _frozen_receive(H, s, N0, adc, r_ref)
+        for g, r in zip(got, ref):
+            assert g.values.shape == r.shape and g.values.dtype == r.dtype
+            assert g.values.tobytes() == r.tobytes(), i
+        assert r_new.bit_generator.state == r_ref.bit_generator.state

@@ -1,10 +1,13 @@
 import dataclasses
+import importlib.util
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beamspace.equalize as equalize
 import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig
 from beamspace.harness import (ConfigError, SimConfig, UnreachableError,
@@ -195,3 +198,57 @@ def test_gap_regression_golden():
                                         tau_y=9.0, **base))
     assert opa == 0.25
     assert opc == 2.25
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Records (config, SNR, first block index) of every block round."""
+    seen = []
+    inner = harness._map_blocks
+
+    def recorded(cfg, snr_db, indices):
+        indices = list(indices)
+        seen.append((dataclasses.astuple(cfg), snr_db, indices[0]))
+        return inner(cfg, snr_db, indices)
+
+    monkeypatch.setattr(harness, "_map_blocks", recorded)
+    return seen
+
+
+def test_pareto_sweep_runs_each_point_once(rounds):
+    cfg = _cfg(algorithm="eomp", snr_lo_db=-5.0, snr_hi_db=25.0)
+    front = pareto_sweep(cfg, [1.0, 0.5], target_ber=1e-2)
+    assert rounds and len(rounds) == len(set(rounds))
+    # the same answer as separate public calls, which share no memo
+    sep = []
+    for delta in (1.0, 0.5):
+        sub = dataclasses.replace(cfg, delta=delta)
+        op = snr_operating_point(sub, 1e-2)
+        sep.append((run_ber_point(sub, op).mean_alpha, op))
+    assert front and {(p.alpha, p.snr_op_db) for p in front} <= set(sep)
+
+
+def test_point_memo_ends_with_the_public_call(rounds):
+    cfg = _cfg(algorithm="almmse")
+    a = run_ber_point(cfg, 6.0)
+    n = len(rounds)
+    assert run_ber_point(cfg, 6.0) == a
+    assert len(rounds) == 2 * n
+    assert run_ber_curve(cfg, [6.0, 6.0]) == [a, a]
+    assert len(rounds) == 3 * n
+
+
+def test_bench_tracer_names_exist():
+    # The benchmark tracer wraps names of beamspace.harness (and
+    # solve_hermitian_pd of beamspace.equalize) by attribute; a rename
+    # would break --trace 1 only.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [n for n in tracing.STAGES if not hasattr(harness, n)] == []
+    assert hasattr(equalize, "solve_hermitian_pd")
+    before = dict(vars(harness))
+    with tracing.Tracer(stages=True):
+        pass
+    assert dict(vars(harness)) == before

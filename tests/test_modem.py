@@ -55,3 +55,32 @@ def test_batched_shapes():
     syms = map_bits(bits)
     assert syms.shape == (7, 3)
     assert demap_hard(syms).shape == (7, 3, BITS_PER_SYMBOL)
+
+
+def _frozen_demap_hard(symbols, Es):
+    """demap_hard as first written: one slicer per rail, np.where chains."""
+    s = np.asarray(symbols) / np.sqrt(Es / 10.0)
+
+    def slice_dim(x):
+        idx = np.where(x >= 0.0, 2, 1)
+        idx = np.where(x > 2.0, 3, idx)
+        return np.where(x < -2.0, 0, idx)
+
+    gray = np.array([0b00, 0b01, 0b11, 0b10])
+    gi, gq = gray[slice_dim(s.real)], gray[slice_dim(s.imag)]
+    return np.stack([gi >> 1, gi & 1, gq >> 1, gq & 1], axis=-1)
+
+
+def test_demap_matches_frozen_copy_on_estimate_grid():
+    # Every (13, 8) estimate code on each rail, paired three ways, as 1-D
+    # input and as a transposed 2-D block (the harness demaps shat.T).
+    # With Es = 10 the thresholds -2, 0, +2 are themselves on the grid.
+    codes = np.arange(-4095, 4096) * 2.0 ** -8
+    assert {-2.0, 0.0, 2.0} <= set(codes.tolist())
+    for Es in (1.0, 2.5, 10.0):
+        for im in (codes, codes[::-1], np.roll(codes, 777)):
+            symbols = codes + 1j * im
+            assert np.array_equal(demap_hard(symbols, Es),
+                                  _frozen_demap_hard(symbols, Es))
+            block = symbols[:8184].reshape(8, -1).T
+            assert np.array_equal(demap_hard(block, Es), _frozen_demap_hard(block, Es))

@@ -3,11 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamspace.equalize import EqualizerMatrix, quantize_filter
-from beamspace.frontend import ReceiveVector
-from beamspace.numerics import (BEAMSPACE_W_FMT, BEAMSPACE_Y_FMT, ESTIMATE_FMT)
-from beamspace.spade import (ActivityReport, ThresholdPair, adaptive_mvm,
-                             exact_mvm_fixed, linf_tilde, masked_reference)
+import beamspace.numerics as numerics
+from beamspace.channel import ScenarioConfig, draw_scenario
+from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
+                                quantize_filter)
+from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
+                                ls_estimate, optimal_unit_step, perfect_csi, receive,
+                                unified_step)
+from beamspace.modem import map_bits
+from beamspace.numerics import (ANTENNA_W_FMT, BEAMSPACE_W_FMT, BEAMSPACE_Y_FMT,
+                                ESTIMATE_FMT, FixedFormat, FxComplexArray)
+from beamspace.spade import (ActivityReport, ThresholdPair, _quantize_threshold,
+                             adaptive_mvm, check_float64_exact, exact_mvm_fixed,
+                             linf_tilde, masked_reference)
 
 
 def test_linf_tilde_examples():
@@ -210,3 +218,92 @@ def test_adaptive_equals_reference_property(seed):
     ref = masked_reference(eq, y, thr, scheme)
     assert np.array_equal(est.codes_re, ref.codes_re)
     assert np.array_equal(est.codes_im, ref.codes_im)
+
+
+def _harness_block(i, T):
+    """One block as the BER harness builds it: 64 antennas, 8 UEs, 6-bit
+    ADC at an SNR in the swept range, perfect or LS CSI, an LMMSE filter in
+    the beamspace (in the antenna domain for i % 4 == 3, a 16-beam
+    entrywise OMP filter for i % 4 == 1), T data vectors (1-D data for T
+    None).  LoS for even i, non-LoS for odd i."""
+    rng = np.random.default_rng([47, i])
+    H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
+                      rng).H
+    N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
+    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, 1.0, N0, 6))
+    antenna = i % 4 == 3
+    if rng.integers(2):
+        Ha = perfect_csi(H, adc.step)
+        Hb = dft_unitary(Ha)
+    else:
+        pilots = dft_pilots(8, 1.0)
+        ybar_p, yb_p = receive(H, pilots, N0, adc, rng)
+        Ha = ls_estimate(ybar_p.values, pilots, 1.0)
+        Hb = ls_estimate(yb_p.values, pilots, 1.0)
+    rho = N0 / adc.step ** 2
+    domain = "antenna" if antenna else "beamspace"
+    filt = (omp_filter(Hb, rho, 16, "entrywise") if i % 4 == 1
+            else lmmse_filter(Ha if antenna else Hb, rho, domain))
+    eq = quantize_filter(filt, ANTENNA_W_FMT if antenna else BEAMSPACE_W_FMT)
+    S = map_bits(rng.integers(0, 2, size=(T or 1, 8, 4))).T
+    ybar, yb = receive(H, S if T else S[:, 0], N0, adc, rng)
+    return eq, ybar if antenna else yb, rng
+
+
+def _mask_count(eq, y, thr, scheme):
+    """Executed real products counted on explicit (U, B, T) keep masks."""
+    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
+    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
+    yc = np.reshape(y.values, (eq.num_beams, -1)) * 2.0 ** y.fmt.frac
+    kw = [np.abs(eq.fx.re)[:, :, None] >= tw, np.abs(eq.fx.im)[:, :, None] >= tw]
+    ky = [np.abs(yc.real)[None] >= ty, np.abs(yc.imag)[None] >= ty]
+    if scheme == "cspade":
+        kw = [kw[0] | kw[1]] * 2
+        ky = [ky[0] | ky[1]] * 2
+    return sum(int((a | b).sum()) for a in kw for b in ky)
+
+
+def test_kernel_matches_masked_reference_on_harness_corpus():
+    for i in range(48):
+        eq, y, rng = _harness_block(i, None if i % 3 == 0 else 5)
+        if y.domain == "antenna":
+            thrs = [ThresholdPair(0.0, 0.0)]
+        else:
+            thrs = [ThresholdPair(float(rng.uniform(0, 0.1)), float(rng.uniform(0, 30))),
+                    ThresholdPair(float(rng.uniform(0, 0.05)), float(rng.uniform(0, 8))),
+                    ThresholdPair(np.inf, float(rng.uniform(0, 30)))]
+        ref = masked_reference(eq, y, ThresholdPair(0.0, 0.0), "spade")
+        est = exact_mvm_fixed(eq, y)
+        assert np.array_equal(est.codes_re, ref.codes_re), i
+        assert np.array_equal(est.codes_im, ref.codes_im), i
+        for thr in thrs:
+            for scheme in ("spade", "cspade"):
+                est, rep = adaptive_mvm(eq, y, thr, scheme)
+                ref = masked_reference(eq, y, thr, scheme)
+                assert est.codes_re.shape == ref.codes_re.shape
+                assert np.array_equal(est.codes_re, ref.codes_re), (i, scheme)
+                assert np.array_equal(est.codes_im, ref.codes_im), (i, scheme)
+                assert rep.executed_real_mults == _mask_count(eq, y, thr, scheme)
+                assert rep.total_real_mults == 4 * 8 * 64 * (y.values.size // 64)
+
+
+def test_float64_bound_holds_for_every_format_pair():
+    formats = [v for v in vars(numerics).values() if isinstance(v, FixedFormat)]
+    assert len(formats) >= 5
+    for w_fmt in formats:
+        for y_fmt in formats:
+            check_float64_exact(1 << 20, w_fmt, y_fmt)
+
+
+def test_float64_guard_trips_on_oversize_format():
+    with pytest.raises(ValueError):
+        check_float64_exact(64, FixedFormat(32, 0), FixedFormat(22, 0))
+    wide = FixedFormat(40, 0)
+    eq = EqualizerMatrix(W=np.ones((2, 4), dtype=complex),
+                         fx=FxComplexArray(np.ones((2, 4), np.int64),
+                                           np.zeros((2, 4), np.int64), wide))
+    y = ReceiveVector("beamspace", np.ones(4, dtype=complex), FixedFormat(16, 0))
+    with pytest.raises(ValueError):
+        exact_mvm_fixed(eq, y)
+    with pytest.raises(ValueError):
+        adaptive_mvm(eq, y, ThresholdPair(1.0, 1.0), "cspade")

@@ -12,9 +12,9 @@ from .harness import (BerPoint, ParetoPoint, SimConfig, pareto_sweep,
                       run_ber_curve, run_ber_point, snr_operating_point)
 from .hwmodel import ArchModel, power_proxy, savings_vs_baseline, throughput_bps
 from .modem import demap_hard, map_bits
-from .numerics import (FixedFormat, FxComplexArray, fx_requantize, fx_value,
-                       solve_hermitian_pd, to_fixed)
+from .numerics import (FixedFormat, FxComplexArray, fx_value, solve_hermitian_pd,
+                       to_fixed)
 from .spade import (ActivityReport, EstimateVector, ThresholdPair, adaptive_mvm,
-                    exact_mvm_fixed, linf_tilde, masked_reference)
+                    exact_mvm_fixed, masked_reference)
 
 __version__ = "0.1.0"

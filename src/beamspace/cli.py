@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 import typing
@@ -19,11 +20,10 @@ import numpy as np
 
 from . import hwmodel
 from .channel import PlacementError, ScenarioConfig, draw_scenario, dump_channel_csv
-from .harness import (ConfigError, SimConfig, UnreachableError,
+from .harness import (DETECTORS, ConfigError, SimConfig, UnreachableError,
                       activity_samples, pareto_sweep, run_ber_curve,
                       snr_operating_point)
 from .numerics import DecompositionError
-from .spade import ThresholdPair
 
 _BOOL = "bool"
 
@@ -45,6 +45,8 @@ def _config_keys() -> dict:
 
 
 _CONFIG_KEYS = _config_keys()
+# Config fields some detector sweeps in ``pareto``; each gets a grid flag.
+_SWEPT = sorted({name for det in DETECTORS.values() for name in det.params})
 
 
 def _parse_value(key: str, raw: str):
@@ -145,23 +147,19 @@ def _cmd_snrop(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    # candidate thresholds / densities come from the sweep grid, so the
-    # per-candidate configs are validated inside pareto_sweep instead
+    # the grids fill in the algorithm's params; pareto_sweep validates each candidate
     cfg = build_sim_config(args, validate=False)
-    if args.delta_grid:
-        candidates = _parse_grid(args.delta_grid)
-        header = ["delta", "alpha", "snr_op_db"]
-        rows = lambda pts: [(p.delta, p.alpha, p.snr_op_db) for p in pts]
-    elif args.tau_w_grid and args.tau_y_grid:
-        candidates = [ThresholdPair(tw, ty)
-                      for tw in _parse_grid(args.tau_w_grid)
-                      for ty in _parse_grid(args.tau_y_grid)]
-        header = ["tau_w", "tau_y", "alpha", "snr_op_db"]
-        rows = lambda pts: [(p.tau_w, p.tau_y, p.alpha, p.snr_op_db) for p in pts]
-    else:
-        raise ConfigError("pareto needs --delta-grid or both --tau-w-grid and --tau-y-grid")
+    params = cfg.detector.params
+    if not params:
+        raise ConfigError(f"{cfg.algorithm} has no parameter to sweep")
+    if {name for name in _SWEPT if getattr(args, f"{name}_grid")} != set(params):
+        raise ConfigError(f"pareto of {cfg.algorithm} takes grids of exactly "
+                          f"{' and '.join(params)}")
+    candidates = list(itertools.product(
+        *(_parse_grid(getattr(args, f"{name}_grid")) for name in params)))
     pts = pareto_sweep(cfg, candidates, target_ber=args.target_ber)
-    _write_csv(args.out, header, rows(pts))
+    header = [*params, "alpha", "snr_op_db"]
+    _write_csv(args.out, header, [[getattr(p, key) for key in header] for p in pts])
     return 0
 
 
@@ -229,9 +227,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("pareto", help="threshold or density Pareto sweep")
     _add_common(p)
     p.add_argument("--target-ber", type=float, default=1e-3)
-    p.add_argument("--tau-w-grid")
-    p.add_argument("--tau-y-grid")
-    p.add_argument("--delta-grid")
+    for name in _SWEPT:
+        p.add_argument(f"--{name.replace('_', '-')}-grid")
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("activity", help="activity-rate histogram at fixed thresholds")

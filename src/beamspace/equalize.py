@@ -7,7 +7,6 @@ rescale 2^k chosen so the largest entry component lands in [0.25, 0.5).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,15 +145,3 @@ def quantize_filter(eq: EqualizerMatrix, fmt: FixedFormat) -> EqualizerMatrix:
     return EqualizerMatrix(W=W, structure=eq.structure, domain=eq.domain,
                            support=eq.support,
                            fx=FxComplexArray(re, im, fmt), scale_exp=k)
-
-
-def dump_filter_csv(eq: EqualizerMatrix, path) -> None:
-    """Write filter entries as CSV rows ``u,b,re,im,structure,k``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "b", "re", "im", "structure", "k"])
-        for u in range(eq.num_ues):
-            for b in range(eq.num_beams):
-                writer.writerow([u, b, repr(float(eq.W[u, b].real)),
-                                 repr(float(eq.W[u, b].imag)),
-                                 eq.structure, eq.scale_exp])

@@ -112,11 +112,6 @@ def dft_unitary(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def idft_unitary(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    return np.fft.ifft(x, axis=0) * np.sqrt(x.shape[0])
-
-
 def draw_noise(shape, N0: float, rng: np.random.Generator) -> np.ndarray:
     """Circularly-symmetric complex Gaussian noise with per-entry variance N0."""
     n = rng.standard_normal((2,) + np.broadcast_shapes(shape))   # the same stream as two draws

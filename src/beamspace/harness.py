@@ -14,7 +14,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -27,8 +27,6 @@ from .modem import BITS_PER_SYMBOL, demap_hard, map_bits
 from .numerics import ANTENNA_W_FMT, BEAMSPACE_W_FMT
 from .spade import ThresholdPair, adaptive_mvm, exact_mvm_fixed
 
-ALGORITHMS = ("almmse", "blmmse", "eomp", "comp", "spade", "cspade")
-
 
 class ConfigError(Exception):
     """Invalid simulation configuration."""
@@ -38,14 +36,38 @@ class UnreachableError(Exception):
     """The target BER is not bracketed by the SNR search interval."""
 
 
+@dataclass(frozen=True)
+class Detector:
+    """One linear detector: the domain of its channel estimate, filter and
+    data; its OMP support rule (None: dense LMMSE); whether it runs the
+    threshold-skipping kernel, with the algorithm name as skip scheme; and
+    the SimConfig fields it needs, which are what a Pareto sweep varies."""
+
+    domain: str                         # 'antenna' | 'beamspace'
+    omp: str | None = None              # 'entrywise' | 'columnwise'
+    adaptive: bool = False
+    params: tuple[str, ...] = ()
+
+
+DETECTORS = {
+    "almmse": Detector("antenna"),
+    "blmmse": Detector("beamspace"),
+    "eomp": Detector("beamspace", omp="entrywise", params=("delta",)),
+    "comp": Detector("beamspace", omp="columnwise", params=("delta",)),
+    "spade": Detector("beamspace", adaptive=True, params=("tau_w", "tau_y")),
+    "cspade": Detector("beamspace", adaptive=True, params=("tau_w", "tau_y")),
+}
+_W_FMT = {"antenna": ANTENNA_W_FMT, "beamspace": BEAMSPACE_W_FMT}
+
+
 @dataclass
 class SimConfig:
     """Complete description of one Monte-Carlo experiment."""
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
-    algorithm: str = "almmse"
-    delta: float | None = None          # density for eomp/comp
-    tau_w: float | None = None          # thresholds for spade/cspade
+    algorithm: str = next(iter(DETECTORS))  # antenna-domain LMMSE
+    delta: float | None = None          # OMP density
+    tau_w: float | None = None          # skip thresholds of the adaptive kernels
     tau_y: float | None = None
     adc_bits: int | None = 6            # None disables the ADC model
     coherence_len: int = 128
@@ -60,17 +82,21 @@ class SimConfig:
     arithmetic: str = "fixed"           # 'float' | 'fixed'
     workers: int = 1
 
-    def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
+    @property
+    def detector(self) -> Detector:
+        """The DETECTORS entry of ``algorithm``; ConfigError if it has none."""
+        if self.algorithm not in DETECTORS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.algorithm in ("eomp", "comp"):
-            if self.delta is None or not 0.0 < self.delta <= 1.0:
-                raise ConfigError(f"{self.algorithm} requires delta in (0, 1]")
-        if self.algorithm in ("spade", "cspade"):
-            if self.tau_w is None or self.tau_y is None:
-                raise ConfigError(f"{self.algorithm} requires tau_w and tau_y")
-            if self.tau_w < 0 or self.tau_y < 0:
-                raise ConfigError("thresholds must be nonnegative")
+        return DETECTORS[self.algorithm]
+
+    def validate(self) -> None:
+        params = self.detector.params
+        if any(getattr(self, name) is None for name in params):
+            raise ConfigError(f"{self.algorithm} requires {' and '.join(params)}")
+        if "delta" in params and not 0.0 < self.delta <= 1.0:
+            raise ConfigError(f"{self.algorithm} requires delta in (0, 1]")
+        if "tau_w" in params and min(self.tau_w, self.tau_y) < 0:
+            raise ConfigError("thresholds must be nonnegative")
         if self.arithmetic not in ("float", "fixed"):
             raise ConfigError(f"unknown arithmetic {self.arithmetic!r}")
         if self.arithmetic == "fixed" and self.adc_bits is None:
@@ -131,44 +157,38 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
         step = adc.step
     rho = N0 / (Es * step ** 2)
 
-    pilots = dft_pilots(U, Es)
+    det = cfg.detector
+    # receive returns (antenna, beamspace) vectors; the detector uses one.
+    pick = ("antenna", "beamspace").index(det.domain)
     if cfg.csi_mode == "perfect":
-        Ha = perfect_csi(H, step)
-        Hb = dft_unitary(Ha)
+        H_est = perfect_csi(H, step)
+        if det.domain == "beamspace":
+            H_est = dft_unitary(H_est)
     else:
-        ybar_p, yb_p = receive(H, pilots, N0, adc, rng)
-        Ha = ls_estimate(ybar_p.values, pilots, Es)
-        Hb = ls_estimate(yb_p.values, pilots, Es)
+        pilots = dft_pilots(U, Es)
+        H_est = ls_estimate(receive(H, pilots, N0, adc, rng)[pick].values, pilots, Es)
 
-    alg = cfg.algorithm
-    if alg == "almmse":
-        eq = lmmse_filter(Ha, rho, domain="antenna")
-        wfmt = ANTENNA_W_FMT
-    elif alg in ("blmmse", "spade", "cspade"):
-        eq = lmmse_filter(Hb, rho, domain="beamspace")
-        wfmt = BEAMSPACE_W_FMT
-    else:  # eomp / comp
-        K = max(1, round(cfg.delta * B))
-        mode = "entrywise" if alg == "eomp" else "columnwise"
-        eq = omp_filter(Hb, rho, K, mode, domain="beamspace")
-        wfmt = BEAMSPACE_W_FMT
-
+    # A K-beam sparse filter executes 4KUT products, a dense one 4BUT.
+    K = max(1, round(cfg.delta * B)) if det.omp else B
+    if det.omp:
+        eq = omp_filter(H_est, rho, K, det.omp, domain=det.domain)
+    else:
+        eq = lmmse_filter(H_est, rho, domain=det.domain)
     if cfg.arithmetic == "fixed":
-        eq = quantize_filter(eq, wfmt)
+        eq = quantize_filter(eq, _W_FMT[det.domain])
 
     T = cfg.coherence_len
     tx_bits = rng.integers(0, 2, size=(T, U, BITS_PER_SYMBOL))
     S = map_bits(tx_bits, Es).T  # (U, T)
-    ybar, yb = receive(H, S, N0, adc, rng)
-    yvec = ybar if alg == "almmse" else yb
+    yvec = receive(H, S, N0, adc, rng)[pick]
 
     total_mults = 4 * U * B * T
-    # A K-beam sparse filter executes 4KUT products; float arithmetic skips none.
-    executed = 4 * K * U * T if alg in ("eomp", "comp") else total_mults
+    executed = 4 * K * U * T            # float arithmetic skips no product
     if cfg.arithmetic == "float":
         shat = eq.W @ yvec.values
-    elif alg in ("spade", "cspade"):
-        est, rep = adaptive_mvm(eq, yvec, ThresholdPair(cfg.tau_w, cfg.tau_y), alg)
+    elif det.adaptive:
+        thr = ThresholdPair(cfg.tau_w, cfg.tau_y)
+        est, rep = adaptive_mvm(eq, yvec, thr, cfg.algorithm)
         shat, executed = est.values, rep.executed_real_mults
     else:
         shat = exact_mvm_fixed(eq, yvec).values
@@ -289,17 +309,19 @@ def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
 def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[ParetoPoint]:
     """Evaluate (alpha, SNR operating point) per candidate; keep the Pareto set.
 
-    Candidates are ThresholdPair instances (spade/cspade) or densities
-    (eomp/comp).  Candidates whose target BER is unreachable are dropped.
+    A candidate gives values of the algorithm's ``params``, in their order:
+    a density, a ThresholdPair, or a tuple.  ConfigError if it does not
+    match them.  Candidates whose target BER is unreachable are dropped.
     """
+    params = cfg.detector.params
+    values = [astuple(c) if is_dataclass(c) else np.ravel(c) for c in candidates]
+    if not params or any(len(v) != len(params) for v in values):
+        raise ConfigError(f"{cfg.algorithm} sweeps {', '.join(params) or 'no parameter'};"
+                          " each candidate must give exactly those values")
     points = []
-    for cand in candidates:
-        if isinstance(cand, ThresholdPair):
-            sub = replace(cfg, tau_w=cand.tau_w, tau_y=cand.tau_y)
-            tag = {"tau_w": cand.tau_w, "tau_y": cand.tau_y}
-        else:
-            sub = replace(cfg, delta=float(cand))
-            tag = {"delta": float(cand)}
+    for v in values:
+        tag = {name: float(x) for name, x in zip(params, v)}
+        sub = replace(cfg, **tag)
         try:
             snr_op = snr_operating_point(sub, target_ber)
         except UnreachableError:

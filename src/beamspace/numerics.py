@@ -84,15 +84,6 @@ def fx_value(codes, fmt: FixedFormat):
     return np.asarray(codes, dtype=float) * fmt.lsb
 
 
-def fx_requantize(codes, src: FixedFormat, dst: FixedFormat):
-    """Re-quantize codes from one format to another.
-
-    Equivalent to ``to_fixed(fx_value(codes, src), dst)``; widening with
-    dst.frac >= src.frac is exact.
-    """
-    return to_fixed(fx_value(codes, src), dst)
-
-
 @dataclass
 class FxComplexArray:
     """Complex fixed-point array: separate re/im code arrays, shared format."""
@@ -104,13 +95,6 @@ class FxComplexArray:
     @property
     def value(self) -> np.ndarray:
         return fx_value(self.re, self.fmt) + 1j * fx_value(self.im, self.fmt)
-
-
-def to_fixed_complex(z, fmt: FixedFormat) -> FxComplexArray:
-    z = np.asarray(z, dtype=complex)
-    re, _ = to_fixed(z.real, fmt)
-    im, _ = to_fixed(z.imag, fmt)
-    return FxComplexArray(re, im, fmt)
 
 
 def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -41,18 +41,12 @@ class ActivityReport:
 
     executed_real_mults: int
     total_real_mults: int
-    scheme: str = "exact"
 
     @property
     def alpha(self) -> float:
         if self.total_real_mults == 0:
             return 0.0
         return self.executed_real_mults / self.total_real_mults
-
-    def __add__(self, other: "ActivityReport") -> "ActivityReport":
-        return ActivityReport(self.executed_real_mults + other.executed_real_mults,
-                              self.total_real_mults + other.total_real_mults,
-                              self.scheme)
 
 
 @dataclass
@@ -66,12 +60,6 @@ class EstimateVector:
     @property
     def values(self) -> np.ndarray:
         return (self.codes_re + 1j * self.codes_im) * self.fmt.lsb
-
-
-def linf_tilde(x) -> np.ndarray:
-    """max(|Re x|, |Im x|), elementwise."""
-    x = np.asarray(x)
-    return np.maximum(np.abs(x.real), np.abs(x.imag))
 
 
 def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
@@ -141,7 +129,7 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
     acc = acc.reshape((U,) + np.shape(y.values)[1:])
     frac_in = eq.fx.fmt.frac + y.fmt.frac
     est = _requantize_acc(acc.real, acc.imag, frac_in, eq.scale_exp, out_fmt)
-    return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size, scheme)
+    return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size)
 
 
 def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector,

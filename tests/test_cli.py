@@ -1,13 +1,14 @@
 import argparse
 import dataclasses
 import multiprocessing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig, load_channel_csv
-from beamspace.cli import _CONFIG_KEYS, build_sim_config, main
+from beamspace.cli import _CONFIG_KEYS, build_sim_config, main, read_config_file
 from beamspace.numerics import DecompositionError
 
 COMMON = ["--num-antennas", "16", "--num-ues", "2", "--coherence-len", "64",
@@ -122,6 +123,31 @@ def test_pareto_delta_grid(tmp_path):
         assert float(delta) == float(alpha)
 
 
+def test_pareto_threshold_grid(tmp_path):
+    out = tmp_path / "pareto.csv"
+    rc = main(["pareto", *COMMON, "--algorithm", "cspade", "--target-ber", "1e-2",
+               "--snr-lo-db", "-5", "--snr-hi-db", "25", "--tau-w-grid", "0,0.02",
+               "--tau-y-grid", "4", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "tau_w,tau_y,alpha,snr_op_db"
+    assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--algorithm", "almmse", "--delta-grid", "1.0,0.5"],
+    ["--algorithm", "cspade", "--tau-w", "0.02", "--tau-y", "4", "--delta-grid", "1.0,0.5"],
+    ["--algorithm", "eomp", "--delta-grid", "1.0", "--tau-w-grid", "0.02"],
+], ids=["almmse-delta", "cspade-delta", "eomp-extra-tau"])
+def test_pareto_rejects_grids_the_algorithm_ignores(flags, capsys):
+    rc = main(["pareto", *COMMON, "--target-ber", "1e-2", "--snr-lo-db", "-5",
+               "--snr-hi-db", "25", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_pareto_requires_a_grid(capsys):
     rc = main(["pareto", *COMMON, "--algorithm", "eomp"])
     assert rc == 2
@@ -190,3 +216,11 @@ def test_config_keys_cover_every_dataclass_field():
                            validate=False)
     assert cfg.scenario.max_placement_tries == 5
     assert cfg.scenario.los is False and cfg.delta == 0.5
+
+
+def test_paper_configs_build_valid_sim_configs():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert paths
+    for path in paths:
+        assert read_config_file(str(path))
+        build_sim_config(argparse.Namespace(config=str(path))).validate()

@@ -5,8 +5,8 @@ import pytest
 
 import beamspace.equalize as equalize
 from beamspace.channel import ScenarioConfig, draw_scenario
-from beamspace.equalize import (EqualizerMatrix, dump_filter_csv, lmmse_filter,
-                                omp_filter, quantize_filter, residual_objective)
+from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
+                                quantize_filter, residual_objective)
 from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
                                 optimal_unit_step, perfect_csi, receive,
                                 unified_step)
@@ -270,13 +270,3 @@ def test_quantize_all_zero_matrix():
                          FixedFormat(8, 7))
     assert eq.scale_exp == 0
     assert np.all(eq.fx.re == 0) and np.all(eq.fx.im == 0)
-
-
-def test_filter_csv_dump(tmp_path):
-    rng = np.random.default_rng(10)
-    eq = quantize_filter(EqualizerMatrix(W=_rand_H(rng, 4, 2).T), BEAMSPACE_W_FMT)
-    path = tmp_path / "filt.csv"
-    dump_filter_csv(eq, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,b,re,im,structure,k"
-    assert len(lines) == 1 + 2 * 4

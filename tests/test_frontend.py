@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary,
-                                draw_noise, idft_unitary, ls_estimate,
+                                draw_noise, ls_estimate,
                                 optimal_unit_step, perfect_csi, quantize_adc,
                                 quantizer_mse, receive, unified_step)
 from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, to_fixed
@@ -104,7 +104,7 @@ def test_dft_unitarity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(33) + 1j * rng.standard_normal(33)  # non power of two
     assert abs(np.linalg.norm(dft_unitary(x)) - np.linalg.norm(x)) < 1e-12
-    assert np.allclose(idft_unitary(dft_unitary(x)), x, atol=1e-12)
+    assert np.allclose(np.fft.ifft(dft_unitary(x)) * np.sqrt(33), x, atol=1e-12)
 
 
 def test_four_point_dft_of_ones():

@@ -13,8 +13,11 @@ from beamspace.channel import ScenarioConfig
 from beamspace.harness import (ConfigError, SimConfig, UnreachableError,
                                activity_samples, pareto_sweep, run_ber_curve,
                                run_ber_point, snr_operating_point)
+from beamspace.spade import ThresholdPair
 
 SMALL_SCEN = ScenarioConfig(num_antennas=16, num_ues=2)
+# A valid value of every config field some detector needs.
+PARAMS = {"delta": 0.5, "tau_w": 0.02, "tau_y": 4.0}
 
 
 def _cfg(**kw):
@@ -37,6 +40,15 @@ def test_validation_errors():
         _cfg(csi_mode="genie").validate()
     with pytest.raises(ConfigError):
         _cfg(adc_bits=12).validate()
+    # every detector: each field it needs missing, or out of range
+    bad_values = {"delta": (0.0, 1.5), "tau_w": (-0.01,), "tau_y": (-1.0,)}
+    for alg, det in harness.DETECTORS.items():
+        params = {name: PARAMS[name] for name in det.params}
+        _cfg(algorithm=alg, **params).validate()
+        for name in det.params:
+            for bad in (None, *bad_values[name]):
+                with pytest.raises(ConfigError):
+                    _cfg(algorithm=alg, **{**params, name: bad}).validate()
 
 
 def test_pure_guessing_at_very_low_snr():
@@ -126,7 +138,6 @@ def test_pareto_single_candidate():
 
 def test_pareto_drops_dominated_points():
     cfg = _cfg(algorithm="cspade", snr_lo_db=-5.0, snr_hi_db=25.0)
-    from beamspace.spade import ThresholdPair
     # (0, 0) is dense; a huge tau_w with tau_y=0 is identical in SNR terms
     # only if nothing is skipped, so compare two dense-equivalent candidates
     pts = pareto_sweep(cfg, [ThresholdPair(0.0, 0.0), ThresholdPair(0.01, 2.0)],
@@ -137,6 +148,18 @@ def test_pareto_drops_dominated_points():
     for p in pts:
         assert not any(q.alpha <= p.alpha and q.snr_op_db < p.snr_op_db
                        for q in pts if q is not p)
+
+
+@pytest.mark.parametrize("alg, candidates", [
+    ("almmse", [1.0, 0.5]),
+    ("cspade", [1.0, 0.5]),
+    ("eomp", [ThresholdPair(0.02, 4.0)]),
+])
+def test_pareto_rejects_candidates_of_other_params(alg, candidates, rounds):
+    cfg = _cfg(algorithm=alg, **PARAMS)
+    with pytest.raises(ConfigError):
+        pareto_sweep(cfg, candidates, target_ber=1e-2)
+    assert rounds == []
 
 
 def test_sparse_density_grid_alphas_exact():
@@ -238,17 +261,34 @@ def test_point_memo_ends_with_the_public_call(rounds):
     assert len(rounds) == 3 * n
 
 
-def test_bench_tracer_names_exist():
-    # The benchmark tracer wraps names of beamspace.harness (and
-    # solve_hermitian_pd of beamspace.equalize) by attribute; a rename
-    # would break --trace 1 only.
+def _bench_tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_tracer_names_exist():
+    # The benchmark tracer wraps names of beamspace.harness (and
+    # solve_hermitian_pd of beamspace.equalize) by attribute; a rename
+    # would break --trace 1 only.
+    tracing = _bench_tracing()
     assert [n for n in tracing.STAGES if not hasattr(harness, n)] == []
     assert hasattr(equalize, "solve_hermitian_pd")
     before = dict(vars(harness))
     with tracing.Tracer(stages=True):
         pass
     assert dict(vars(harness)) == before
+
+
+@pytest.mark.parametrize("alg", harness.DETECTORS)
+def test_bench_tracer_sees_every_detector_stage(alg):
+    # _sim_block must reach the filter builders and kernels through the
+    # harness module names the tracer rebinds, not through references
+    # captured in DETECTORS.
+    tracing = _bench_tracing()
+    with tracing.Tracer(stages=True) as tracer:
+        harness._sim_block(_cfg(algorithm=alg, **PARAMS), 6.0, 0)
+    names = {span[0] for span in tracer.spans}
+    assert {"equalize.filter", "spade.mvm"} <= names

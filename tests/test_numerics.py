@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from beamspace.numerics import (DecompositionError, FixedFormat, fx_requantize,
+from beamspace.numerics import (DecompositionError, FixedFormat, FxComplexArray,
                                 fx_value, round_ties_away, solve_hermitian_pd,
-                                to_fixed, to_fixed_complex)
+                                to_fixed)
 
 W4F2 = FixedFormat(4, 2)
 
@@ -40,7 +40,7 @@ def test_ties_round_away_from_zero():
 
 
 def test_requantize_widening_is_exact():
-    codes, sat = fx_requantize(2, FixedFormat(4, 2), FixedFormat(8, 4))
+    codes, sat = to_fixed(fx_value(2, FixedFormat(4, 2)), FixedFormat(8, 4))
     assert codes == 8 and not sat
     assert fx_value(codes, FixedFormat(8, 4)) == 0.5
 
@@ -49,10 +49,10 @@ def test_requantize_tie_away():
     src = FixedFormat(8, 3)
     dst = FixedFormat(8, 1)
     codes, _ = to_fixed(0.375, src)
-    out, _ = fx_requantize(codes, src, dst)
+    out, _ = to_fixed(fx_value(codes, src), dst)
     assert fx_value(out, dst) == 0.5
     codes, _ = to_fixed(-0.375, src)
-    out, _ = fx_requantize(codes, src, dst)
+    out, _ = to_fixed(fx_value(codes, src), dst)
     assert fx_value(out, dst) == -0.5
 
 
@@ -63,9 +63,9 @@ def test_format_validation():
         FixedFormat(8, -1)
 
 
-def test_to_fixed_complex_roundtrip():
+def test_fx_complex_array_value_roundtrip():
     z = np.array([0.25 + 0.5j, -0.75 - 1.0j])
-    fx = to_fixed_complex(z, W4F2)
+    fx = FxComplexArray(to_fixed(z.real, W4F2)[0], to_fixed(z.imag, W4F2)[0], W4F2)
     assert np.array_equal(fx.value, z)
 
 

@@ -1,4 +1,4 @@
-"""Pin OpenBLAS to one thread unless the user chose a thread count.
+"""Pin OpenBLAS to one thread unless the user chose; keep temporaries on the heap.
 
 The simulator's BLAS calls are small (8x8 Gram matrices, 64x128 blocks), so
 BLAS threads add synchronisation, not speed, and in a process pool they
@@ -14,6 +14,7 @@ import os
 
 _SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
             "openblas_set_num_threads")
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3     # glibc mallopt parameters
 
 
 def _loaded_openblas() -> list:
@@ -49,4 +50,16 @@ def pin_threads() -> None:
                 break
 
 
+def keep_temporaries_on_heap() -> None:
+    """Serve a 64x128 block's 128 KiB temporaries from the heap, not from fresh
+    mappings faulted in page by page (160 faults per receive).  glibc raises its
+    thresholds itself only after freeing a larger mapping, which may never happen."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, 1 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 1 << 21)
+
+
 pin_threads()
+keep_temporaries_on_heap()

@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class PlacementError(Exception):
-    """UE angle rejection sampling failed to satisfy the separation constraint."""
-
-
 @dataclass
 class PathSet:
     """Per-UE propagation paths: complex gains and spatial frequencies."""
@@ -52,6 +48,12 @@ class ScenarioConfig:
     max_placement_tries: int = 1000
 
     def __post_init__(self):
+        for name in ("num_antennas", "num_ues", "num_paths_los", "num_paths_nlos"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("power_ctrl_db", "min_sep_deg"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.num_ues > self.num_antennas:
             raise ValueError("num_ues must not exceed num_antennas")
         if self.min_sep_deg * self.num_ues > self.sector_deg:
@@ -93,6 +95,9 @@ def synth_ue_channel(paths: PathSet, num_antennas: int) -> np.ndarray:
 
 
 def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """UE azimuths, uniform on the sector subject to the minimum separation:
+    by rejection, then after max_placement_tries by shifting the k-th of U sorted
+    uniforms on the sector less (U - 1) separations by k separations."""
     half = cfg.sector_deg / 2.0
     for _ in range(cfg.max_placement_tries):
         az = rng.uniform(-half, half, size=cfg.num_ues)
@@ -102,10 +107,9 @@ def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
         np.fill_diagonal(gaps, np.inf)
         if gaps.min() >= cfg.min_sep_deg:
             return az
-    raise PlacementError(
-        f"could not place {cfg.num_ues} UEs with {cfg.min_sep_deg} deg separation "
-        f"in {cfg.max_placement_tries} tries"
-    )
+    span = cfg.sector_deg - (cfg.num_ues - 1) * cfg.min_sep_deg
+    az = np.sort(rng.uniform(-half, -half + span, size=cfg.num_ues))
+    return rng.permutation(az + cfg.min_sep_deg * np.arange(cfg.num_ues))
 
 
 def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.ndarray):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import itertools
 import os
+import re
 import sys
 import typing
 from dataclasses import fields
@@ -19,7 +20,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import hwmodel
-from .channel import PlacementError, ScenarioConfig, draw_scenario, dump_channel_csv
+from .channel import ScenarioConfig, draw_scenario, dump_channel_csv
 from .harness import (DETECTORS, ConfigError, SimConfig, UnreachableError,
                       activity_samples, pareto_sweep, run_ber_curve,
                       snr_operating_point)
@@ -47,6 +48,7 @@ def _config_keys() -> dict:
 _CONFIG_KEYS = _config_keys()
 # Config fields some detector sweeps in ``pareto``; each gets a grid flag.
 _SWEPT = sorted({name for det in DETECTORS.values() for name in det.params})
+_GRID_FLAGS = {"--snr-grid-db", *(f"--{name.replace('_', '-')}-grid" for name in _SWEPT)}
 
 
 def _parse_value(key: str, raw: str):
@@ -254,11 +256,15 @@ def main(argv=None) -> int:
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_gen_channels)
 
+    # argparse takes a grid that starts with a negative value (-4,-2,0) for a flag
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _GRID_FLAGS and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PlacementError, DecompositionError, ValueError, KeyError,
-            OSError) as exc:
+    except (ConfigError, DecompositionError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

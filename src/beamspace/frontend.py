@@ -10,11 +10,8 @@ DFT followed by output quantization to the (9, 1) format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erf
 
 from .numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FixedFormat, to_fixed
 
@@ -47,38 +44,18 @@ class ReceiveVector:
     fmt: FixedFormat | None
 
 
-def _phi(x):
-    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+# MSE-optimal mid-rise unit steps for 1..8 bits: the minimizers over (1e-3, 4)
+# of the exact Gaussian quantization MSE; tests/test_frontend.py re-derives them.
+_UNIT_STEPS = (1.5957690979363168, 0.9956866994286742, 0.5860194297825778,
+               0.3352006244682113, 0.18813879341749468, 0.10406300540217393,
+               0.05686767220142458, 0.030762391571219593)
 
 
-def _Phi(x):
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def quantizer_mse(step: float, bits: int) -> float:
-    """E[(Q_m(z, step) - z)^2] for z ~ N(0,1), via exact per-cell Gaussian integrals."""
-    half_levels = 1 << (bits - 1)
-    k = np.arange(half_levels)
-    a = k * step
-    b = np.where(k == half_levels - 1, np.inf, (k + 1) * step)
-    level = (k + 0.5) * step
-    b_fin = np.where(np.isinf(b), 0.0, b)
-    pa, pb = _phi(a), np.where(np.isinf(b), 0.0, _phi(b_fin))
-    Pa, Pb = _Phi(a), np.where(np.isinf(b), 1.0, _Phi(b_fin))
-    bpb = b_fin * pb
-    cell = (1.0 + level ** 2) * (Pb - Pa) - 2.0 * level * (pa - pb) - (bpb - a * pa)
-    return 2.0 * float(cell.sum())
-
-
-@lru_cache(maxsize=None)
 def optimal_unit_step(bits: int) -> float:
     """MSE-optimal mid-rise step size for a standard Gaussian input."""
     if not 1 <= bits <= 8:
         raise ValueError(f"bits must be in 1..8, got {bits}")
-    res = minimize_scalar(lambda d: quantizer_mse(d, bits),
-                          bounds=(1e-3, 4.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.x)
+    return _UNIT_STEPS[bits - 1]
 
 
 def unified_step(H: np.ndarray, Es: float, N0: float, bits: int) -> float:

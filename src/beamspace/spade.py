@@ -20,7 +20,7 @@ import numpy as np
 
 from .equalize import EqualizerMatrix
 from .frontend import ReceiveVector
-from .numerics import ESTIMATE_FMT, FixedFormat, round_ties_away
+from .numerics import ESTIMATE_FMT, FixedFormat, round_ties_away, to_fixed
 
 
 @dataclass(frozen=True)
@@ -84,10 +84,9 @@ def _operand_codes(eq: EqualizerMatrix, y: ReceiveVector):
 def _requantize_acc(acc_re, acc_im, frac_in: int, scale_exp: int,
                     out_fmt: FixedFormat) -> EstimateVector:
     # acc carries frac_in fractional bits and an extra 2^scale_exp gain.
-    shift = 2.0 ** (out_fmt.frac - frac_in - scale_exp)
-    cr = np.clip(round_ties_away(acc_re * shift), -out_fmt.max_code, out_fmt.max_code)
-    ci = np.clip(round_ties_away(acc_im * shift), -out_fmt.max_code, out_fmt.max_code)
-    return EstimateVector(cr.astype(np.int64), ci.astype(np.int64), out_fmt)
+    gain = 2.0 ** (-frac_in - scale_exp)
+    return EstimateVector(to_fixed(acc_re * gain, out_fmt)[0],
+                          to_fixed(acc_im * gain, out_fmt)[0], out_fmt)
 
 
 def check_float64_exact(num_beams: int, w_fmt: FixedFormat, y_fmt: FixedFormat) -> None:

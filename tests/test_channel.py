@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from beamspace.channel import (ChannelMatrix, PathSet, PlacementError,
-                               ScenarioConfig, apply_power_control,
-                               draw_scenario, dump_channel_csv,
-                               load_channel_csv, steering_vector,
-                               synth_ue_channel)
+from beamspace.channel import (ChannelMatrix, PathSet, ScenarioConfig,
+                               apply_power_control, draw_scenario,
+                               dump_channel_csv, load_channel_csv,
+                               steering_vector, synth_ue_channel, _draw_angles)
 from beamspace.frontend import dft_unitary
 
 
@@ -128,13 +127,28 @@ def test_infeasible_geometry_rejected_at_config():
         ScenarioConfig(num_antennas=64, num_ues=8, sector_deg=6.0, min_sep_deg=1.0)
 
 
-def test_placement_gives_up_after_bounded_tries():
+def test_placement_falls_back_to_direct_draw():
     # 8 UEs in an 8 degree sector with 1 degree gaps barely fits; a single
-    # rejection-sampling try essentially never lands it.
+    # rejection-sampling try essentially never lands it, so the direct draw does.
     cfg = ScenarioConfig(num_antennas=64, num_ues=8, sector_deg=8.0,
                          min_sep_deg=1.0, max_placement_tries=1)
-    with pytest.raises(PlacementError):
-        draw_scenario(cfg, np.random.default_rng(0))
+    for seed in range(300):
+        angles = draw_scenario(cfg, np.random.default_rng(seed)).angles_deg
+        assert np.all(np.abs(angles) <= 4.0)
+        assert np.diff(np.sort(angles)).min() >= 1.0
+
+
+def test_direct_placement_matches_rejection_law():
+    # 3 UEs x 3 deg in a 10 deg sector: rejection accepts 38% of draws.  Both
+    # samplers are uniform on the feasible set, where the sorted angles have
+    # means -4, 0 and 4 deg and each UE's angle has mean 0.
+    rng = np.random.default_rng(3)
+    for tries in (1000, 0):
+        cfg = ScenarioConfig(num_antennas=8, num_ues=3, sector_deg=10.0,
+                             min_sep_deg=3.0, max_placement_tries=tries)
+        az = np.array([_draw_angles(cfg, rng) for _ in range(4000)])
+        assert np.allclose(np.sort(az, axis=1).mean(axis=0), [-4.0, 0.0, 4.0], atol=0.1)
+        assert np.allclose(az.mean(axis=0), 0.0, atol=0.2)
 
 
 def test_channel_csv_roundtrip(tmp_path):

@@ -70,15 +70,14 @@ def test_bad_algorithm_fails_cleanly(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_infeasible_placement_fails_cleanly(workers, capsys):
-    # 40 UEs x 3 deg pass the sector check (120 deg) but rejection sampling
-    # gives up; at workers=2 the 5-block round raises inside a pool worker
+def test_tight_placement_runs(workers, tmp_path):
+    # 40 UEs x 3 deg fill the 120 deg sector so tightly that rejection sampling
+    # gives up; the direct draw places them, also inside a pool worker
+    out = tmp_path / "ber.csv"
     rc = main(["ber", "--num-ues", "40", "--min-sep-deg", "3", "--snr-grid-db", "0",
-               "--min-bits-per-point", "100000", "--workers", workers])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: could not place 40 UEs")
-    assert err.count("\n") == 1
+               "--min-bits-per-point", "100000", "--workers", workers, "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 2
     assert multiprocessing.active_children() == []
 
 
@@ -87,10 +86,48 @@ def _singular(*args, **kwargs):
 
 
 def test_decomposition_error_fails_cleanly(monkeypatch, capsys):
+    # at workers=2 the error is raised in a forked pool worker, which
+    # inherits the patched filter builder
     monkeypatch.setattr(harness, "lmmse_filter", _singular)
-    rc = main(["ber", *COMMON, "--algorithm", "almmse", "--snr-grid-db", "0"])
+    for workers in ("1", "2"):
+        rc = main(["ber", *COMMON, "--algorithm", "almmse", "--snr-grid-db", "0",
+                   "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: matrix is not positive definite\n"
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--num-antennas", "0"], "num_antennas"),
+    (["--num-ues", "0"], "num_ues"),
+    (["--num-ues", "-1"], "num_ues"),
+    (["--num-paths-los", "0"], "num_paths_los"),
+    (["--los", "false", "--num-paths-nlos", "0"], "num_paths_nlos"),
+    (["--power-ctrl-db", "-3"], "power_ctrl_db"),
+    (["--min-sep-deg", "-1"], "min_sep_deg"),
+])
+def test_out_of_range_scenario_field_fails_cleanly(flags, field, capsys):
+    rc = main(["ber", *flags, "--snr-grid-db", "0"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: matrix is not positive definite\n"
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert field in err
+
+
+def test_snr_grid_may_start_negative(tmp_path):
+    out = tmp_path / "ber.csv"
+    rc = main(["ber", *COMMON, "--algorithm", "almmse", "--snr-grid-db", "-4,-2",
+               "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_pareto_grid_may_start_negative(capsys):
+    # the grid reaches validation, which rejects delta = -0.5
+    rc = main(["pareto", *COMMON, "--algorithm", "eomp", "--delta-grid", "-0.5,0.5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_snrop_unreachable_exit_code(capsys):

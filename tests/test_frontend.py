@@ -1,17 +1,65 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
+from scipy.special import erf
 
 from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary,
                                 draw_noise, ls_estimate,
                                 optimal_unit_step, perfect_csi, quantize_adc,
-                                quantizer_mse, receive, unified_step)
+                                receive, unified_step)
 from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, to_fixed
 
 # Recorded from this implementation at build time; guards against drift.
 LS_REL_ERR_GOLDEN = 0.07688070016788927
+
+
+def _phi(x):
+    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+
+
+def _Phi(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
+def quantizer_mse(step: float, bits: int) -> float:
+    """E[(Q_m(z, step) - z)^2] for z ~ N(0,1), via exact per-cell Gaussian integrals."""
+    half_levels = 1 << (bits - 1)
+    k = np.arange(half_levels)
+    a = k * step
+    b = np.where(k == half_levels - 1, np.inf, (k + 1) * step)
+    level = (k + 0.5) * step
+    b_fin = np.where(np.isinf(b), 0.0, b)
+    pa, pb = _phi(a), np.where(np.isinf(b), 0.0, _phi(b_fin))
+    Pa, Pb = _Phi(a), np.where(np.isinf(b), 1.0, _Phi(b_fin))
+    bpb = b_fin * pb
+    cell = (1.0 + level ** 2) * (Pb - Pa) - 2.0 * level * (pa - pb) - (bpb - a * pa)
+    return 2.0 * float(cell.sum())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_unit_step_table_rederived(m):
+    res = minimize_scalar(lambda d: quantizer_mse(d, m), bounds=(1e-3, 4.0),
+                          method="bounded", options={"xatol": 1e-12})
+    assert abs(optimal_unit_step(m) - res.x) <= 1e-9 * res.x
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, beamspace\n"
+            "beamspace.optimal_unit_step(6)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out == "[]\n"
 
 
 def test_one_bit_step_closed_form():
@@ -19,7 +67,7 @@ def test_one_bit_step_closed_form():
 
 
 def test_unit_step_local_optimality():
-    for m in range(1, 7):
+    for m in range(1, 9):
         d = optimal_unit_step(m)
         assert quantizer_mse(d, m) <= quantizer_mse(d * 1.01, m)
         assert quantizer_mse(d, m) <= quantizer_mse(d * 0.99, m)

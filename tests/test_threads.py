@@ -1,10 +1,12 @@
-"""The package pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set.
+"""The package pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS is set,
+and keeps its per-block temporaries on the heap.
 
-Each case runs a probe script in a fresh interpreter that imports numpy and
-scipy.linalg before beamspace, as the test modules do, so the libraries are
+Each thread case runs a probe script in a fresh interpreter that imports numpy
+and scipy.linalg before beamspace, as the test modules do, so the libraries are
 already loaded when the package pins them.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -86,3 +88,38 @@ def test_user_thread_count_is_honoured(tmp_path):
     seen = _probe(tmp_path, "2")
     assert set(seen["parent"].values()) == {2}, seen
     assert seen["worker"] == seen["parent"]
+
+
+HEAP_PROBE = '''
+import resource
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import beamspace
+
+rng = np.random.default_rng(0)
+H = rng.standard_normal((64, 8)) + 0j
+s = rng.standard_normal((8, 128)) + 0j
+adc = beamspace.AdcConfig(6, 0.1, 0.5)
+for _ in range(20):
+    beamspace.receive(H, s, 0.1, adc, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    beamspace.receive(H, s, 0.1, adc, rng)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+'''
+
+
+def test_block_temporaries_stay_on_the_heap(tmp_path):
+    # a 64x128 receive makes 128 KiB temporaries; each one mapped afresh
+    # faults in every page, 160 faults per receive at glibc's defaults
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("not glibc")
+    script = tmp_path / "heap_probe.py"
+    script.write_text(HEAP_PROBE)
+    out = subprocess.run([sys.executable, str(script), SRC], check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert int(out) < 100

@@ -14,7 +14,7 @@ from .hwmodel import ArchModel, power_proxy, savings_vs_baseline, throughput_bps
 from .modem import demap_hard, map_bits
 from .numerics import (FixedFormat, FxComplexArray, fx_value, solve_hermitian_pd,
                        to_fixed)
-from .spade import (ActivityReport, EstimateVector, ThresholdPair, adaptive_mvm,
-                    exact_mvm_fixed, masked_reference)
+from .spade import (ActivityReport, ThresholdPair, adaptive_mvm, exact_mvm_fixed,
+                    masked_reference)
 
 __version__ = "0.1.0"

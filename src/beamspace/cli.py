@@ -51,7 +51,8 @@ _SWEPT = sorted({name for det in DETECTORS.values() for name in det.params})
 _GRID_FLAGS = {"--snr-grid-db", *(f"--{name.replace('_', '-')}-grid" for name in _SWEPT)}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str = ""):
+    """The typed value of config key ``key``; errors start with ``where``."""
     typ, _ = _CONFIG_KEYS[key]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
@@ -61,8 +62,11 @@ def _parse_value(key: str, raw: str):
             return True
         if raw.lower() in ("0", "false", "no"):
             return False
-        raise ConfigError(f"bad boolean for {key}: {raw!r}")
-    return typ(raw)
+        raise ConfigError(f"{where}bad boolean for {key}: {raw!r}")
+    try:
+        return typ(raw)
+    except ValueError:
+        raise ConfigError(f"{where}bad {typ.__name__} for {key}: {raw!r}") from None
 
 
 def read_config_file(path: str) -> dict:
@@ -78,7 +82,7 @@ def read_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, raw)
+            values[key] = _parse_value(key, raw, f"{path}:{lineno}: ")
     return values
 
 
@@ -124,13 +128,16 @@ def _write_csv(path, header, rows) -> None:
             fh.close()
 
 
-def _parse_grid(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",") if x.strip()]
+def _parse_grid(args, dest: str) -> list[float]:
+    grid = [float(x) for x in getattr(args, dest).split(",") if x.strip()]
+    if not grid:
+        raise ConfigError(f"{dest} needs at least one value")
+    return grid
 
 
 def _cmd_ber(args) -> int:
     cfg = build_sim_config(args)
-    grid = _parse_grid(args.snr_grid_db)
+    grid = _parse_grid(args, "snr_grid_db")
     points = run_ber_curve(cfg, grid)
     _write_csv(args.out, ["snr_db", "ber", "bits", "mean_alpha"],
                [(p.snr_db, p.ber, p.bits, p.mean_alpha) for p in points])
@@ -158,7 +165,7 @@ def _cmd_pareto(args) -> int:
         raise ConfigError(f"pareto of {cfg.algorithm} takes grids of exactly "
                           f"{' and '.join(params)}")
     candidates = list(itertools.product(
-        *(_parse_grid(getattr(args, f"{name}_grid")) for name in params)))
+        *(_parse_grid(args, f"{name}_grid") for name in params)))
     pts = pareto_sweep(cfg, candidates, target_ber=args.target_ber)
     header = [*params, "alpha", "snr_op_db"]
     _write_csv(args.out, header, [[getattr(p, key) for key in header] for p in pts])
@@ -167,8 +174,11 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_activity(args) -> int:
     cfg = build_sim_config(args)
+    bins = int(args.bins)
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     alphas = activity_samples(cfg, float(args.snr_db), int(args.num_blocks))
-    edges = np.linspace(0.0, 1.0, int(args.bins) + 1)
+    edges = np.linspace(0.0, 1.0, bins + 1)
     counts, _ = np.histogram(alphas, bins=edges)
     _write_csv(args.out, ["bin_lo", "bin_hi", "count"],
                [(float(edges[i]), float(edges[i + 1]), int(counts[i]))

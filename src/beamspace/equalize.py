@@ -7,19 +7,19 @@ rescale 2^k chosen so the largest entry component lands in [0.25, 0.5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import FixedFormat, FxComplexArray, solve_hermitian_pd, to_fixed
+from .numerics import FixedFormat, FxComplexArray, solve_hermitian_pd
 
 
 @dataclass
 class EqualizerMatrix:
-    """U x B filter with a sparsity-structure tag and optional fixed-point view."""
+    """U x B filter with its OMP support (None: dense) and optional fixed-point view."""
 
     W: np.ndarray                      # complex, shape (U, B)
-    structure: str = "dense"           # 'dense' | 'entrywise' | 'columnwise'
     domain: str = "beamspace"          # 'antenna' | 'beamspace'
     support: object = None             # entrywise: list of per-row index arrays
                                        # columnwise: shared index array
@@ -41,7 +41,7 @@ def lmmse_filter(H: np.ndarray, rho: float, domain: str = "beamspace") -> Equali
     U = H.shape[1]
     gram = H.conj().T @ H + rho * np.eye(U)
     W = solve_hermitian_pd(gram, H.conj().T)
-    return EqualizerMatrix(W=W, structure="dense", domain=domain)
+    return EqualizerMatrix(W=W, domain=domain)
 
 
 def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
@@ -99,8 +99,7 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
             HX = H @ X
         W = np.where(chosen, HX.T.conj(), 0.0)
         supports = [np.flatnonzero(row) for row in chosen]
-        return EqualizerMatrix(W=W, structure="entrywise", domain=domain,
-                               support=supports)
+        return EqualizerMatrix(W=W, domain=domain, support=supports)
 
     if mode == "columnwise":
         Hh = H.conj().T
@@ -117,31 +116,15 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
             Ginv = solve_hermitian_pd(G, eye)
         W = np.zeros((U, B), dtype=complex)
         W[:, chosen] = Ginv @ Hh[:, chosen]
-        return EqualizerMatrix(W=W, structure="columnwise", domain=domain,
-                               support=np.flatnonzero(chosen))
+        return EqualizerMatrix(W=W, domain=domain, support=np.flatnonzero(chosen))
 
     raise ValueError(f"unknown OMP mode {mode!r}")
-
-
-def _scale_exponent(max_abs: float) -> int:
-    """Power-of-two exponent k with max_abs * 2^k in [0.25, 0.5)."""
-    import math
-    mantissa, exp = math.frexp(max_abs)  # max_abs = mantissa * 2^exp, mantissa in [0.5, 1)
-    return -exp - 1
 
 
 def quantize_filter(eq: EqualizerMatrix, fmt: FixedFormat) -> EqualizerMatrix:
     """Attach a fixed-point view: scale by 2^k into [0.25, 0.5), then quantize."""
     W = eq.W
     max_abs = float(max(np.abs(W.real).max(), np.abs(W.imag).max(), 0.0))
-    if max_abs == 0.0:
-        k = 0
-        scaled = W
-    else:
-        k = _scale_exponent(max_abs)
-        scaled = W * 2.0 ** k
-    re, _ = to_fixed(scaled.real, fmt)
-    im, _ = to_fixed(scaled.imag, fmt)
-    return EqualizerMatrix(W=W, structure=eq.structure, domain=eq.domain,
-                           support=eq.support,
-                           fx=FxComplexArray(re, im, fmt), scale_exp=k)
+    # max_abs = m 2^e with m in [0.5, 1), so max_abs 2^(-e-1) is in [0.25, 0.5)
+    k = -math.frexp(max_abs)[1] - 1 if max_abs else 0
+    return replace(eq, fx=FxComplexArray.quantize(W * 2.0 ** k, fmt), scale_exp=k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FixedFormat, to_fixed
+from .numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FixedFormat, FxComplexArray
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,9 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float,
         return (ReceiveVector("antenna", z, None),
                 ReceiveVector("beamspace", dft_unitary(z), None))
     ybar = quantize_adc(z, adc.step, adc.bits)
-    codes, _ = to_fixed(dft_unitary(ybar).view(float), BEAMSPACE_Y_FMT)
-    yb_q = (codes * BEAMSPACE_Y_FMT.lsb).view(complex)
+    yb = FxComplexArray.quantize(dft_unitary(ybar), BEAMSPACE_Y_FMT)
     return (ReceiveVector("antenna", ybar, ANTENNA_Y_FMT),
-            ReceiveVector("beamspace", yb_q, BEAMSPACE_Y_FMT))
+            ReceiveVector("beamspace", yb.values, BEAMSPACE_Y_FMT))
 
 
 def dft_pilots(num_ues: int, Es: float) -> np.ndarray:

@@ -89,7 +89,11 @@ class SimConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         return DETECTORS[self.algorithm]
 
-    def validate(self) -> None:
+    def validate(self, *snrs_db: float) -> None:
+        """ConfigError unless the config is consistent and each given SNR finite."""
+        for snr_db in snrs_db:
+            if not math.isfinite(snr_db):
+                raise ConfigError(f"SNR must be finite, got {snr_db} dB")
         params = self.detector.params
         if any(getattr(self, name) is None for name in params):
             raise ConfigError(f"{self.algorithm} requires {' and '.join(params)}")
@@ -241,7 +245,7 @@ def _map_blocks(cfg: SimConfig, snr_db: float, indices) -> list[BlockResult]:
 @_pool_scope()
 def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
     """Accumulate blocks until the bit and error budgets are met; memoized per public call."""
-    cfg.validate()
+    cfg.validate(snr_db)
     key = (astuple(cfg), snr_db)
     if key in _scope.points:
         return _scope.points[key]
@@ -274,7 +278,9 @@ def run_ber_curve(cfg: SimConfig, snr_grid_db) -> list[BerPoint]:
 @_pool_scope()
 def activity_samples(cfg: SimConfig, snr_db: float, num_blocks: int) -> np.ndarray:
     """Per-block multiplier activity rates at a fixed SNR."""
-    cfg.validate()
+    cfg.validate(snr_db)
+    if num_blocks < 1:
+        raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
     res = _map_blocks(cfg, snr_db, range(num_blocks))
     return np.array([r.executed_real_mults / r.total_real_mults for r in res])
 
@@ -285,10 +291,13 @@ def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
     """Minimum SNR (on a resolution_db grid) reaching the target BER.
 
     Bisection between cfg.snr_lo_db and cfg.snr_hi_db, assuming BER is
-    non-increasing in SNR.  Raises UnreachableError if the extremes do not
-    bracket the target.
+    non-increasing in SNR.  Raises ConfigError unless the extremes are finite
+    and lo < hi, and UnreachableError if they do not bracket the target.
     """
     lo, hi = cfg.snr_lo_db, cfg.snr_hi_db
+    cfg.validate(lo, hi)
+    if lo >= hi:
+        raise ConfigError(f"snr_lo_db ({lo}) must be below snr_hi_db ({hi})")
     if run_ber_point(cfg, lo).ber <= target_ber:
         raise UnreachableError(f"BER already at target at the lower extreme {lo} dB")
     if run_ber_point(cfg, hi).ber > target_ber:

@@ -86,15 +86,34 @@ def fx_value(codes, fmt: FixedFormat):
 
 @dataclass
 class FxComplexArray:
-    """Complex fixed-point array: separate re/im code arrays, shared format."""
+    """Complex fixed-point array: the integer codes of both rails, held as one
+    contiguous complex float64 array (exact for widths up to 53 bits), and
+    their shared format."""
 
-    re: np.ndarray
-    im: np.ndarray
+    codes: np.ndarray
     fmt: FixedFormat
 
+    def __post_init__(self):
+        self.codes = np.ascontiguousarray(self.codes, dtype=complex)
+
+    @classmethod
+    def quantize(cls, x, fmt: FixedFormat) -> FxComplexArray:
+        """Codes of complex values x: one to_fixed pass over the interleaved rails."""
+        codes, _ = to_fixed(np.ascontiguousarray(x, dtype=complex).view(float), fmt)
+        return cls(codes.astype(float).view(complex), fmt)
+
     @property
-    def value(self) -> np.ndarray:
-        return fx_value(self.re, self.fmt) + 1j * fx_value(self.im, self.fmt)
+    def codes_re(self) -> np.ndarray:
+        return self.codes.real
+
+    @property
+    def codes_im(self) -> np.ndarray:
+        return self.codes.imag
+
+    @property
+    def values(self) -> np.ndarray:
+        # Scaled on the float view: a complex-by-real product may flip a zero's sign.
+        return fx_value(self.codes.view(float), self.fmt).view(complex)
 
 
 def solve_hermitian_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

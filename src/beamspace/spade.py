@@ -20,7 +20,7 @@ import numpy as np
 
 from .equalize import EqualizerMatrix
 from .frontend import ReceiveVector
-from .numerics import ESTIMATE_FMT, FixedFormat, round_ties_away, to_fixed
+from .numerics import ESTIMATE_FMT, FixedFormat, FxComplexArray, round_ties_away
 
 
 @dataclass(frozen=True)
@@ -49,19 +49,6 @@ class ActivityReport:
         return self.executed_real_mults / self.total_real_mults
 
 
-@dataclass
-class EstimateVector:
-    """Symbol estimates in the (13, 8) output format after 2^-k compensation."""
-
-    codes_re: np.ndarray
-    codes_im: np.ndarray
-    fmt: FixedFormat
-
-    @property
-    def values(self) -> np.ndarray:
-        return (self.codes_re + 1j * self.codes_im) * self.fmt.lsb
-
-
 def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
     if eq.fx is None:
         raise ValueError("equalizer has no fixed-point view; call quantize_filter first")
@@ -71,22 +58,12 @@ def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
         raise ValueError(f"domain mismatch: filter {eq.domain!r} vs data {y.domain!r}")
 
 
-def _operand_codes(eq: EqualizerMatrix, y: ReceiveVector):
-    _check_operands(eq, y)
-    wr = eq.fx.re.astype(np.int64)
-    wi = eq.fx.im.astype(np.int64)
-    vals = np.asarray(y.values)
-    yr = np.round(vals.real * 2.0 ** y.fmt.frac).astype(np.int64)
-    yi = np.round(vals.imag * 2.0 ** y.fmt.frac).astype(np.int64)
-    return wr, wi, yr, yi
-
-
-def _requantize_acc(acc_re, acc_im, frac_in: int, scale_exp: int,
-                    out_fmt: FixedFormat) -> EstimateVector:
-    # acc carries frac_in fractional bits and an extra 2^scale_exp gain.
-    gain = 2.0 ** (-frac_in - scale_exp)
-    return EstimateVector(to_fixed(acc_re * gain, out_fmt)[0],
-                          to_fixed(acc_im * gain, out_fmt)[0], out_fmt)
+def _requantize(acc: np.ndarray, eq: EqualizerMatrix, y: ReceiveVector,
+                out_fmt: FixedFormat) -> FxComplexArray:
+    """Symbol estimates in out_fmt from accumulators of W and Y codes, which
+    carry both operands' fractional bits and the filter's extra 2^k gain."""
+    gain = 2.0 ** (-eq.fx.fmt.frac - y.fmt.frac - eq.scale_exp)
+    return FxComplexArray.quantize(acc * gain, out_fmt)
 
 
 def check_float64_exact(num_beams: int, w_fmt: FixedFormat, y_fmt: FixedFormat) -> None:
@@ -108,9 +85,9 @@ def _below(x: np.ndarray, t: float, per_rail: bool, beam_axis: int):
 
 def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
          out_fmt: FixedFormat):
-    """acc = W Y - W_lo Y_lo on float64 codes; returns (EstimateVector, ActivityReport)."""
+    """acc = W Y - W_lo Y_lo on float64 codes; returns (FxComplexArray, ActivityReport)."""
     _check_operands(eq, y)
-    W = eq.fx.re + 1j * eq.fx.im
+    W = eq.fx.codes
     U, B = W.shape
     check_float64_exact(B, eq.fx.fmt, y.fmt)
     Y = np.rint(np.ascontiguousarray(y.values, dtype=complex).view(float)
@@ -125,14 +102,12 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
         Y_lo, n_y = _below(Y, ty, scheme != "cspade", 0)
         acc -= W_lo @ Y_lo
         skipped = int(n_w @ n_y)
-    acc = acc.reshape((U,) + np.shape(y.values)[1:])
-    frac_in = eq.fx.fmt.frac + y.fmt.frac
-    est = _requantize_acc(acc.real, acc.imag, frac_in, eq.scale_exp, out_fmt)
+    est = _requantize(acc.reshape((U,) + np.shape(y.values)[1:]), eq, y, out_fmt)
     return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size)
 
 
 def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector,
-                    out_fmt: FixedFormat = ESTIMATE_FMT) -> EstimateVector:
+                    out_fmt: FixedFormat = ESTIMATE_FMT) -> FxComplexArray:
     """Bit-exact fixed-point MVM: integer partial products, wide accumulator,
     2^-k compensation, saturating requantization to out_fmt."""
     return _mvm(eq, y, ThresholdPair(0.0, 0.0), "exact", out_fmt)[0]
@@ -148,17 +123,22 @@ def _quantize_threshold(tau: float, fmt: FixedFormat) -> float:
 def adaptive_mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
                  scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT):
     """SPADE/CSPADE MVM: skip products whose operands both fall strictly below
-    their thresholds.  Returns (EstimateVector, ActivityReport)."""
+    their thresholds.  Returns (FxComplexArray, ActivityReport)."""
     if scheme not in ("spade", "cspade"):
         raise ValueError(f"unknown scheme {scheme!r}")
     return _mvm(eq, y, thr, scheme, out_fmt)
 
 
 def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
-                     scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT) -> EstimateVector:
+                     scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT) -> FxComplexArray:
     """Independent oracle: materialize skip masks, then run exact Python-integer
     arithmetic on the masked operands.  Must match adaptive_mvm bit-exactly."""
-    wr, wi, yr, yi = _operand_codes(eq, y)
+    _check_operands(eq, y)
+    wr = eq.fx.codes_re.astype(np.int64)
+    wi = eq.fx.codes_im.astype(np.int64)
+    vals = np.asarray(y.values)
+    yr = np.round(vals.real * 2.0 ** y.fmt.frac).astype(np.int64)
+    yi = np.round(vals.imag * 2.0 ** y.fmt.frac).astype(np.int64)
     tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
     ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
     batched = yr.ndim == 2
@@ -166,8 +146,7 @@ def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
     yi2 = yi if batched else yi[:, None]
     U, B = wr.shape
     T = yr2.shape[1]
-    acc_re = np.zeros((U, T), dtype=np.int64)
-    acc_im = np.zeros((U, T), dtype=np.int64)
+    acc = np.zeros((U, T), dtype=complex)
     for t in range(T):
         for u in range(U):
             sr = 0
@@ -194,10 +173,5 @@ def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
                         si += a * q + c * p
                 else:
                     raise ValueError(f"unknown scheme {scheme!r}")
-            acc_re[u, t] = sr
-            acc_im[u, t] = si
-    if not batched:
-        acc_re = acc_re[:, 0]
-        acc_im = acc_im[:, 0]
-    frac_in = eq.fx.fmt.frac + y.fmt.frac
-    return _requantize_acc(acc_re, acc_im, frac_in, eq.scale_exp, out_fmt)
+            acc[u, t] = complex(sr, si)
+    return _requantize(acc if batched else acc[:, 0], eq, y, out_fmt)

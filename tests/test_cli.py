@@ -191,6 +191,62 @@ def test_pareto_requires_a_grid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _one_error_line(rc, capsys):
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    return captured.err
+
+
+CSPADE = ["--algorithm", "cspade", "--tau-w", "0.05", "--tau-y", "6"]
+
+
+@pytest.mark.parametrize("flags, value", [
+    (["ber", "--snr-grid-db", "inf"], "inf"),
+    (["ber", "--snr-grid-db", "0,nan"], "nan"),
+    (["snrop", "--snr-hi-db", "inf"], "inf"),
+    (["snrop", "--snr-lo-db=-inf"], "-inf"),
+    (["snrop", "--snr-lo-db", "nan"], "nan"),
+    (["activity", *CSPADE, "--snr-db", "inf"], "inf"),
+])
+def test_non_finite_snr_fails_cleanly(flags, value, capsys):
+    rc = main([flags[0], *COMMON, *flags[1:]])
+    assert f"got {value} dB" in _one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize("lo, hi", [("20", "0"), ("5", "5")])
+def test_snrop_rejects_inverted_range_before_simulating(lo, hi, monkeypatch, capsys):
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(harness, "_sim_block", no_block)
+    rc = main(["snrop", *COMMON, "--snr-lo-db", lo, "--snr-hi-db", hi])
+    assert "snr_lo_db" in _one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["ber", "--snr-grid-db", ","], "snr_grid_db"),
+    (["pareto", "--algorithm", "eomp", "--delta-grid", ","], "delta_grid"),
+    (["pareto", *CSPADE, "--tau-w-grid", "0.1", "--tau-y-grid", " , "], "tau_y_grid"),
+    (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "-3"], "num_blocks"),
+    (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "0"], "num_blocks"),
+    (["activity", *CSPADE, "--snr-db", "8", "--bins", "0"], "bins"),
+])
+def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
+    rc = main([flags[0], *COMMON, *flags[1:]])
+    assert name in _one_error_line(rc, capsys)
+
+
+def test_bad_value_names_the_key(tmp_path, capsys):
+    rc = main(["ber", *COMMON, "--num-ues", "1.5", "--snr-grid-db", "0"])
+    assert "num_ues" in _one_error_line(rc, capsys)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1\nmin_sep_deg = wide\n")
+    rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
+    err = _one_error_line(rc, capsys)
+    assert f"{cfg}:2:" in err and "min_sep_deg" in err
+
+
 def test_activity_histogram(tmp_path):
     out = tmp_path / "act.csv"
     rc = main(["activity", *COMMON, "--algorithm", "cspade",

@@ -204,8 +204,8 @@ def test_omp_matches_per_ue_oracle_on_harness_corpus():
                        else eq.support.tolist())
             assert support == support_ref, (i, mode)
             assert eq.scale_exp == ref.scale_exp, (i, mode)
-            assert np.array_equal(eq.fx.re, ref.fx.re), (i, mode)
-            assert np.array_equal(eq.fx.im, ref.fx.im), (i, mode)
+            assert np.array_equal(eq.fx.codes_re, ref.fx.codes_re), (i, mode)
+            assert np.array_equal(eq.fx.codes_im, ref.fx.codes_im), (i, mode)
 
 
 @pytest.mark.parametrize("mode", ["entrywise", "columnwise"])
@@ -255,11 +255,10 @@ def test_quantize_preserves_zeros_and_bounds_error():
     rng = np.random.default_rng(9)
     W = _rand_H(rng, 8, 2).T
     W[:, ::2] = 0.0
-    eq = quantize_filter(EqualizerMatrix(W=W, structure="columnwise"),
-                         BEAMSPACE_W_FMT)
-    assert np.all(eq.fx.re[:, ::2] == 0)
-    assert np.all(eq.fx.im[:, ::2] == 0)
-    recon = eq.fx.value * 2.0 ** -eq.scale_exp
+    eq = quantize_filter(EqualizerMatrix(W=W), BEAMSPACE_W_FMT)
+    assert np.all(eq.fx.codes_re[:, ::2] == 0)
+    assert np.all(eq.fx.codes_im[:, ::2] == 0)
+    recon = eq.fx.values * 2.0 ** -eq.scale_exp
     tol = BEAMSPACE_W_FMT.lsb / 2 * 2.0 ** -eq.scale_exp + 1e-15
     assert np.max(np.abs(recon.real - W.real)) <= tol
     assert np.max(np.abs(recon.imag - W.imag)) <= tol
@@ -269,4 +268,4 @@ def test_quantize_all_zero_matrix():
     eq = quantize_filter(EqualizerMatrix(W=np.zeros((2, 4), dtype=complex)),
                          FixedFormat(8, 7))
     assert eq.scale_exp == 0
-    assert np.all(eq.fx.re == 0) and np.all(eq.fx.im == 0)
+    assert np.all(eq.fx.codes_re == 0) and np.all(eq.fx.codes_im == 0)

@@ -65,8 +65,19 @@ def test_format_validation():
 
 def test_fx_complex_array_value_roundtrip():
     z = np.array([0.25 + 0.5j, -0.75 - 1.0j])
-    fx = FxComplexArray(to_fixed(z.real, W4F2)[0], to_fixed(z.imag, W4F2)[0], W4F2)
-    assert np.array_equal(fx.value, z)
+    fx = FxComplexArray.quantize(z, W4F2)
+    assert np.array_equal(fx.values, z)
+
+
+def test_complex_quantize_matches_per_rail_to_fixed():
+    # ties, saturation on both signs, signed zeros and a non-contiguous input
+    z = np.array([[0.125 - 0.375j, -0.0 + 0.1j, 9.0 - 9.0j],
+                  [-0.1 - 0.0j, 1.875 + 1.9j, -2.2 + 0.625j]]).T
+    fx = FxComplexArray.quantize(z, W4F2)
+    assert fx.codes.flags.c_contiguous and fx.codes.shape == z.shape
+    assert np.array_equal(fx.codes_re, to_fixed(z.real, W4F2)[0])
+    assert np.array_equal(fx.codes_im, to_fixed(z.imag, W4F2)[0])
+    assert not np.signbit(fx.values.view(float)[fx.values.view(float) == 0]).any()
 
 
 def test_negative_saturation_is_symmetric():

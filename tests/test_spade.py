@@ -69,7 +69,7 @@ def test_exact_mvm_matches_float_oracle():
                           (codes[:, 0] + 1j * codes[:, 1]) * BEAMSPACE_Y_FMT.lsb,
                           BEAMSPACE_Y_FMT)
         est = exact_mvm_fixed(eq, y)
-        Wq = eq.fx.value * 2.0 ** -eq.scale_exp
+        Wq = eq.fx.values * 2.0 ** -eq.scale_exp
         ref = Wq @ y.values
         tol = ESTIMATE_FMT.lsb * (1 + 1e-12) / 2 + 1e-12
         assert np.max(np.abs(est.values.real - ref.real)) <= tol
@@ -246,7 +246,7 @@ def _mask_count(eq, y, thr, scheme):
     tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
     ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
     yc = np.reshape(y.values, (eq.num_beams, -1)) * 2.0 ** y.fmt.frac
-    kw = [np.abs(eq.fx.re)[:, :, None] >= tw, np.abs(eq.fx.im)[:, :, None] >= tw]
+    kw = [np.abs(eq.fx.codes_re)[:, :, None] >= tw, np.abs(eq.fx.codes_im)[:, :, None] >= tw]
     ky = [np.abs(yc.real)[None] >= ty, np.abs(yc.imag)[None] >= ty]
     if scheme == "cspade":
         kw = [kw[0] | kw[1]] * 2
@@ -291,8 +291,7 @@ def test_float64_guard_trips_on_oversize_format():
         check_float64_exact(64, FixedFormat(32, 0), FixedFormat(22, 0))
     wide = FixedFormat(40, 0)
     eq = EqualizerMatrix(W=np.ones((2, 4), dtype=complex),
-                         fx=FxComplexArray(np.ones((2, 4), np.int64),
-                                           np.zeros((2, 4), np.int64), wide))
+                         fx=FxComplexArray(np.ones((2, 4), complex), wide))
     y = ReceiveVector("beamspace", np.ones(4, dtype=complex), FixedFormat(16, 0))
     with pytest.raises(ValueError):
         exact_mvm_fixed(eq, y)

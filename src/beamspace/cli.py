@@ -29,23 +29,26 @@ from .numerics import DecompositionError
 _BOOL = "bool"
 
 
-def _config_keys() -> dict:
+def _config_keys() -> tuple[dict, set]:
     """key -> (type, belongs-to-scenario) for every ScenarioConfig and
-    SimConfig field but ``scenario``; an optional field takes the type of
-    its non-None alternative."""
-    keys = {}
+    SimConfig field but ``scenario``, and the set of optional keys (typed
+    ``X | None``); an optional field takes the type of its non-None
+    alternative."""
+    keys, optional = {}, set()
     for cls, is_scen in ((ScenarioConfig, True), (SimConfig, False)):
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
             if f.name == "scenario":
                 continue
-            typ = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],)
-                       if t is not type(None))
+            alternatives = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if type(None) in alternatives:
+                optional.add(f.name)
+            typ = next(t for t in alternatives if t is not type(None))
             keys[f.name] = (_BOOL if typ is bool else typ, is_scen)
-    return keys
+    return keys, optional
 
 
-_CONFIG_KEYS = _config_keys()
+_CONFIG_KEYS, _OPTIONAL_KEYS = _config_keys()
 # Config fields some detector sweeps in ``pareto``; each gets a grid flag.
 _SWEPT = sorted({name for det in DETECTORS.values() for name in det.params})
 _GRID_FLAGS = {"--snr-grid-db", *(f"--{name.replace('_', '-')}-grid" for name in _SWEPT)}
@@ -56,7 +59,9 @@ def _parse_value(key: str, raw: str, where: str = ""):
     typ, _ = _CONFIG_KEYS[key]
     raw = raw.strip()
     if raw.lower() in ("none", ""):
-        return None
+        if key in _OPTIONAL_KEYS:
+            return None
+        raise ConfigError(f"{where}{key} takes no none or empty value, got {raw!r}")
     if typ is _BOOL:
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -94,8 +99,8 @@ def build_sim_config(args: argparse.Namespace, validate: bool = True) -> SimConf
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             values[key] = _parse_value(key, cli_val)
-    scen_kwargs = {k: v for k, (t, is_scen) in _CONFIG_KEYS.items()
-                   if is_scen and (v := values.get(k)) is not None}
+    scen_kwargs = {k: values[k] for k, (t, is_scen) in _CONFIG_KEYS.items()
+                   if is_scen and k in values}
     sim_kwargs = {k: values[k] for k, (t, is_scen) in _CONFIG_KEYS.items()
                   if not is_scen and k in values}
     try:
@@ -213,8 +218,11 @@ def _cmd_power(args) -> int:
 
 def _cmd_gen_channels(args) -> int:
     cfg = build_sim_config(args)
+    count = int(args.count)
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
     os.makedirs(args.outdir, exist_ok=True)
-    for i in range(int(args.count)):
+    for i in range(count):
         rng = np.random.default_rng([cfg.seed, i])
         scen = draw_scenario(cfg.scenario, rng)
         dump_channel_csv(scen.H, os.path.join(args.outdir, f"channel_{i:04d}.csv"))

@@ -52,8 +52,8 @@ def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
     return float(np.linalg.norm(r, "fro") ** 2 + rho * np.linalg.norm(eq.W, "fro") ** 2)
 
 
-def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
-               domain: str = "beamspace") -> EqualizerMatrix:
+def omp_filter(H: np.ndarray, rho: float, K: int | list[int], mode: str,
+               domain: str = "beamspace") -> EqualizerMatrix | list[EqualizerMatrix]:
     """Strictly sparse filter via orthogonal matching pursuit over beam rows.
 
     mode 'entrywise': per UE, greedily pick K beams maximizing the residual
@@ -70,14 +70,21 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
     h_b^H h_b to its Gram and makes one stacked solve, so a filter costs
     K solves in either mode.  rho must be positive (G is singular for
     rho = 0 while |S| < U).
+
+    K may also be a sequence of sizes: one greedy run to the largest then
+    returns the list of filters of those sizes, in the order given.  The
+    state after step k does not depend on K (the supports are nested), so
+    each equals the filter of a run to that size alone, bit for bit.
     """
     H = np.asarray(H, dtype=complex)
     B, U = H.shape
-    if not 1 <= K <= B:
+    sizes = [K] if np.isscalar(K) else list(K)
+    if not sizes or not all(1 <= k <= B for k in sizes):
         raise ValueError(f"K must be in 1..{B}, got {K}")
     if not rho > 0:
         raise ValueError(f"rho must be positive, got {rho}")
     eye = np.eye(U)
+    built = {}
 
     if mode == "entrywise":
         # Column u of X is G_u^-1 e_u, so row u of the residual (G_u is
@@ -88,7 +95,7 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
         chosen = np.zeros((U, B), dtype=bool)
         rows = np.arange(U)
         HX = H                                 # X = I before the first step
-        for _ in range(K):
+        for k in range(1, max(sizes) + 1):
             corr = np.abs(HX.T)                # (U, B)
             corr[chosen] = -1.0
             b_star = np.argmax(corr, axis=1)   # first (smallest) index on ties
@@ -97,16 +104,17 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
             G += h.conj()[:, :, None] * h[:, None, :]
             X = solve_hermitian_pd(G, eye[:, :, None])[..., 0].T
             HX = H @ X
-        W = np.where(chosen, HX.T.conj(), 0.0)
-        supports = [np.flatnonzero(row) for row in chosen]
-        return EqualizerMatrix(W=W, domain=domain, support=supports)
+            if k in sizes:
+                built[k] = EqualizerMatrix(W=np.where(chosen, HX.T.conj(), 0.0),
+                                           domain=domain,
+                                           support=[np.flatnonzero(row) for row in chosen])
 
-    if mode == "columnwise":
+    elif mode == "columnwise":
         Hh = H.conj().T
         G = rho * eye
         chosen = np.zeros(B, dtype=bool)
         Ginv = eye                             # R / rho, with R = I before the first step
-        for _ in range(K):
+        for k in range(1, max(sizes) + 1):
             score = np.linalg.norm(Ginv @ Hh, axis=0)  # ||R (h_b^r)^H||_2 / rho
             score[chosen] = -1.0
             b_star = int(np.argmax(score))
@@ -114,11 +122,15 @@ def omp_filter(H: np.ndarray, rho: float, K: int, mode: str,
             h = H[b_star]
             G = G + np.outer(h.conj(), h)
             Ginv = solve_hermitian_pd(G, eye)
-        W = np.zeros((U, B), dtype=complex)
-        W[:, chosen] = Ginv @ Hh[:, chosen]
-        return EqualizerMatrix(W=W, domain=domain, support=np.flatnonzero(chosen))
+            if k in sizes:
+                W = np.zeros((U, B), dtype=complex)
+                W[:, chosen] = Ginv @ Hh[:, chosen]
+                built[k] = EqualizerMatrix(W=W, domain=domain, support=np.flatnonzero(chosen))
 
-    raise ValueError(f"unknown OMP mode {mode!r}")
+    else:
+        raise ValueError(f"unknown OMP mode {mode!r}")
+    filters = [built[k] for k in sizes]
+    return filters[0] if np.isscalar(K) else filters
 
 
 def quantize_filter(eq: EqualizerMatrix, fmt: FixedFormat) -> EqualizerMatrix:

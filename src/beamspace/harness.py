@@ -6,10 +6,24 @@ produce byte-identical results.  Results merge by associative accumulation
 in canonical block order.  Each public call uses at most one process pool,
 shared by all of its block rounds and shut down before the call returns,
 and evaluates each (config, SNR) BER point at most once.
+
+Configs that agree on every field but the algorithm and its params (a
+group) draw the same channel, bits and noise at a given SNR and block
+index, because the stream does not depend on the algorithm and every
+detector draws in the same order.  A group's block therefore runs the
+front end once (channel draw, both receive domains, CSI, rho), builds each
+distinct filter once (one LMMSE filter per domain; one greedy OMP run per
+support rule up to the group's largest K, whose supports are nested, so
+the filter at each smaller K is the one a run to that K gives), and only
+then runs each config's kernel and demap.  A Pareto sweep's bisections run
+in lockstep, so that the candidates probing one SNR form a group; every
+BER point is still the one its config gets alone.  Only one block's shared
+state is held at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -57,6 +71,7 @@ DETECTORS = {
     "spade": Detector("beamspace", adaptive=True, params=("tau_w", "tau_y")),
     "cspade": Detector("beamspace", adaptive=True, params=("tau_w", "tau_y")),
 }
+_DOMAINS = ("antenna", "beamspace")        # the order of receive's outputs
 _W_FMT = {"antenna": ANTENNA_W_FMT, "beamspace": BEAMSPACE_W_FMT}
 
 
@@ -89,11 +104,23 @@ class SimConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         return DETECTORS[self.algorithm]
 
+    def noise_power(self, snr_db: float) -> float:
+        """N0 at ``snr_db``: Es / N0 is the SNR."""
+        return self.Es * 10.0 ** (-snr_db / 10.0)
+
     def validate(self, *snrs_db: float) -> None:
-        """ConfigError unless the config is consistent and each given SNR finite."""
+        """ConfigError unless the config is consistent and each given SNR
+        finite, with a finite and positive noise power N0."""
         for snr_db in snrs_db:
             if not math.isfinite(snr_db):
                 raise ConfigError(f"SNR must be finite, got {snr_db} dB")
+            try:
+                N0 = self.noise_power(snr_db)
+            except OverflowError:
+                N0 = math.inf
+            if not (math.isfinite(N0) and N0 > 0):
+                raise ConfigError(f"SNR {snr_db} dB and Es {self.Es} give noise power"
+                                  f" N0 = {N0}; it must be finite and positive")
         params = self.detector.params
         if any(getattr(self, name) is None for name in params):
             raise ConfigError(f"{self.algorithm} requires {' and '.join(params)}")
@@ -144,14 +171,22 @@ def _block_rng(cfg: SimConfig, snr_db: float, block_index: int) -> np.random.Gen
     return np.random.default_rng([cfg.seed, snr_key, block_index])
 
 
-def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
-    rng = _block_rng(cfg, snr_db, block_index)
-    scen = draw_scenario(cfg.scenario, rng)
-    H = scen.H
-    B, U = H.shape
-    Es = cfg.Es
-    N0 = Es * 10.0 ** (-snr_db / 10.0)
+def _filter_key(cfg: SimConfig) -> tuple:
+    """(domain, OMP rule, K): configs of a group with equal keys share one
+    filter.  A K-beam sparse filter executes 4KUT products, a dense one 4BUT."""
+    det, B = cfg.detector, cfg.scenario.num_antennas
+    return det.domain, det.omp, max(1, round(cfg.delta * B)) if det.omp else B
 
+
+def _front_end(cfg: SimConfig, snr_db: float, block_index: int) -> dict:
+    """What a block's configs have in common: every RNG draw in the stream's
+    order (channel, pilot noise for LS CSI, bits, data noise), the received
+    pilots and data in both domains, and the regularization rho."""
+    rng = _block_rng(cfg, snr_db, block_index)
+    H = draw_scenario(cfg.scenario, rng).H
+    U = H.shape[1]
+    Es = cfg.Es
+    N0 = cfg.noise_power(snr_db)
     if cfg.adc_bits is None:
         adc = None
         step = 1.0
@@ -159,35 +194,72 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
         unit = optimal_unit_step(cfg.adc_bits)
         adc = AdcConfig(cfg.adc_bits, unit, unified_step(H, Es, N0, cfg.adc_bits))
         step = adc.step
-    rho = N0 / (Es * step ** 2)
+    shared = {"H": H, "step": step, "rho": N0 / (Es * step ** 2)}
+    if cfg.csi_mode == "ls":
+        shared["pilots"] = dft_pilots(U, Es)
+        shared["pilot_rx"] = receive(H, shared["pilots"], N0, adc, rng)
+    shared["tx_bits"] = rng.integers(0, 2, size=(cfg.coherence_len, U, BITS_PER_SYMBOL))
+    S = map_bits(shared["tx_bits"], Es).T  # (U, T)
+    shared["rx"] = receive(H, S, N0, adc, rng)  # (antenna, beamspace)
+    return shared
 
+
+def _estimate(cfg: SimConfig, shared: dict, domain: str) -> np.ndarray:
+    """The channel estimate in ``domain``, built once per block and group."""
+    key = ("csi", domain)
+    if key not in shared:
+        if cfg.csi_mode == "ls":
+            pilot_rx = shared["pilot_rx"][_DOMAINS.index(domain)]
+            shared[key] = ls_estimate(pilot_rx.values, shared["pilots"], cfg.Es)
+        elif domain == "antenna":
+            shared[key] = perfect_csi(shared["H"], shared["step"])
+        else:
+            shared[key] = dft_unitary(_estimate(cfg, shared, "antenna"))
+    return shared[key]
+
+
+def _filter(cfg: SimConfig, shared: dict):
+    """The config's filter, quantized in fixed point; each distinct filter
+    is built and quantized once per block and group.  The OMP filters of
+    one support rule come from one greedy run to the group's largest K."""
+    key = _filter_key(cfg)
+    if key not in shared:
+        domain, omp, K = key
+        if ("float", *key) not in shared:
+            H_est = _estimate(cfg, shared, domain)
+            if omp:
+                sizes = sorted({k for d, o, k in map(_filter_key, shared["group"])
+                                if (d, o) == (domain, omp)})
+                eqs = omp_filter(H_est, shared["rho"], sizes, omp, domain=domain)
+            else:
+                sizes, eqs = [K], [lmmse_filter(H_est, shared["rho"], domain=domain)]
+            shared.update({("float", domain, omp, k): eq for k, eq in zip(sizes, eqs)})
+        eq = shared["float", *key]
+        shared[key] = quantize_filter(eq, _W_FMT[domain]) if cfg.arithmetic == "fixed" else eq
+    return shared[key]
+
+
+def _sim_block(cfg: SimConfig, snr_db: float, block_index: int,
+               shared: dict | None = None) -> BlockResult:
+    """One coherence block of one config.
+
+    ``shared`` holds the block's state common to the configs of a group
+    (key "group"): the first of them fills in the front end, estimates and
+    filters, and the others reuse them.  Alone, a config gets a fresh one.
+    """
+    if shared is None:
+        shared = {"group": (cfg,)}
+    if "rx" not in shared:
+        shared.update(_front_end(cfg, snr_db, block_index))
     det = cfg.detector
-    # receive returns (antenna, beamspace) vectors; the detector uses one.
-    pick = ("antenna", "beamspace").index(det.domain)
-    if cfg.csi_mode == "perfect":
-        H_est = perfect_csi(H, step)
-        if det.domain == "beamspace":
-            H_est = dft_unitary(H_est)
-    else:
-        pilots = dft_pilots(U, Es)
-        H_est = ls_estimate(receive(H, pilots, N0, adc, rng)[pick].values, pilots, Es)
-
-    # A K-beam sparse filter executes 4KUT products, a dense one 4BUT.
-    K = max(1, round(cfg.delta * B)) if det.omp else B
-    if det.omp:
-        eq = omp_filter(H_est, rho, K, det.omp, domain=det.domain)
-    else:
-        eq = lmmse_filter(H_est, rho, domain=det.domain)
-    if cfg.arithmetic == "fixed":
-        eq = quantize_filter(eq, _W_FMT[det.domain])
-
+    eq = _filter(cfg, shared)
+    yvec = shared["rx"][_DOMAINS.index(det.domain)]
+    tx_bits = shared["tx_bits"]
+    U, B = eq.W.shape
     T = cfg.coherence_len
-    tx_bits = rng.integers(0, 2, size=(T, U, BITS_PER_SYMBOL))
-    S = map_bits(tx_bits, Es).T  # (U, T)
-    yvec = receive(H, S, N0, adc, rng)[pick]
 
     total_mults = 4 * U * B * T
-    executed = 4 * K * U * T            # float arithmetic skips no product
+    executed = 4 * _filter_key(cfg)[2] * U * T   # float arithmetic skips no product
     if cfg.arithmetic == "float":
         shat = eq.W @ yvec.values
     elif det.adaptive:
@@ -197,9 +269,18 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int) -> BlockResult:
     else:
         shat = exact_mvm_fixed(eq, yvec).values
 
-    rx_bits = demap_hard(shat.T, Es)  # (T, U, 4)
+    rx_bits = demap_hard(shat.T, cfg.Es)  # (T, U, 4)
     errors = int(np.sum(rx_bits != tx_bits))
     return BlockResult(errors, tx_bits.size, executed, total_mults)
+
+
+def _sim_group(cfgs: tuple, snr_db: float, block_index: int) -> list[BlockResult]:
+    """One block of each config of a group, which agree on every field but
+    the algorithm and its params: at one SNR and block index they draw the
+    same channel, bits and noise, so the front end runs once for all and
+    each distinct filter once.  Only this one block's state is held."""
+    shared = {"group": cfgs}
+    return [_sim_block(cfg, snr_db, block_index, shared) for cfg in cfgs]
 
 
 # Per thread: the public call in progress (``open``), its process pool
@@ -231,43 +312,61 @@ def _pool_scope():
 
 
 @_pool_scope()
-def _map_blocks(cfg: SimConfig, snr_db: float, indices) -> list[BlockResult]:
+def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
+    """Blocks ``indices`` of a group of configs: one BlockResult per config
+    and block, block by block in the group's order."""
     indices = list(indices)
-    if cfg.workers <= 1 or len(indices) <= 1:
-        return [_sim_block(cfg, snr_db, i) for i in indices]
-    fn = partial(_sim_block, cfg, snr_db)
-    chunk = max(1, len(indices) // (4 * cfg.workers))
-    if _scope.pool is None:
-        _scope.pool = ProcessPoolExecutor(max_workers=cfg.workers)
-    return list(_scope.pool.map(fn, indices, chunksize=chunk))
+    workers = cfgs[0].workers
+    if workers <= 1 or len(indices) <= 1:
+        groups = [_sim_group(cfgs, snr_db, i) for i in indices]
+    else:
+        fn = partial(_sim_group, cfgs, snr_db)
+        chunk = max(1, len(indices) // (4 * workers))
+        if _scope.pool is None:
+            _scope.pool = ProcessPoolExecutor(max_workers=workers)
+        groups = _scope.pool.map(fn, indices, chunksize=chunk)
+    return [res for group in groups for res in group]
+
+
+def _ber_points(cfgs, snr_db: float) -> list[BerPoint]:
+    """BER points at one SNR of a group of configs, which agree on every
+    field but the algorithm and its params; memoized per public call.
+
+    The configs not in the memo share one round loop: every round runs the
+    same block indices for each config still going, and a config leaves as
+    soon as its own bit and error budgets are met.  So each point equals
+    the one its config gets alone.
+    """
+    for cfg in cfgs:
+        cfg.validate(snr_db)
+    keys = [(astuple(cfg), snr_db) for cfg in cfgs]
+    going = {key: cfg for key, cfg in zip(keys, cfgs) if key not in _scope.points}
+    cfg = cfgs[0]                           # the budgets are the group's
+    bits_per_block = cfg.scenario.num_ues * BITS_PER_SYMBOL * cfg.coherence_len
+    blocks_per_round = max(1, math.ceil(cfg.min_bits_per_point / bits_per_block))
+    max_bits = cfg.max_bits_per_point or 4 * cfg.min_bits_per_point
+    sums = {key: (0, 0, 0, 0) for key in going}   # BlockResult fields, summed
+    next_index = 0
+    while going:
+        indices = range(next_index, next_index + blocks_per_round)
+        next_index += blocks_per_round
+        results = _map_blocks(tuple(going.values()), snr_db, indices)
+        for key, res in zip(itertools.cycle(list(going)), results):
+            sums[key] = tuple(s + r for s, r in zip(sums[key], astuple(res)))
+        for key in list(going):
+            errors, bits, executed, total = sums[key]
+            if bits >= cfg.min_bits_per_point and (
+                    errors >= cfg.min_errors_per_point or bits >= max_bits):
+                _scope.points[key] = BerPoint(snr_db, errors / bits, bits, errors,
+                                              executed / total)
+                del going[key]
+    return [_scope.points[key] for key in keys]
 
 
 @_pool_scope()
 def run_ber_point(cfg: SimConfig, snr_db: float) -> BerPoint:
     """Accumulate blocks until the bit and error budgets are met; memoized per public call."""
-    cfg.validate(snr_db)
-    key = (astuple(cfg), snr_db)
-    if key in _scope.points:
-        return _scope.points[key]
-    bits_per_block = cfg.scenario.num_ues * BITS_PER_SYMBOL * cfg.coherence_len
-    blocks_per_round = max(1, math.ceil(cfg.min_bits_per_point / bits_per_block))
-    max_bits = cfg.max_bits_per_point or 4 * cfg.min_bits_per_point
-
-    errors = bits = executed = total = 0
-    next_index = 0
-    while True:
-        indices = range(next_index, next_index + blocks_per_round)
-        next_index += blocks_per_round
-        for res in _map_blocks(cfg, snr_db, indices):
-            errors += res.bit_errors
-            bits += res.bits
-            executed += res.executed_real_mults
-            total += res.total_real_mults
-        if bits >= cfg.min_bits_per_point and (
-                errors >= cfg.min_errors_per_point or bits >= max_bits):
-            break
-    _scope.points[key] = BerPoint(snr_db, errors / bits, bits, errors, executed / total)
-    return _scope.points[key]
+    return _ber_points((cfg,), snr_db)[0]
 
 
 @_pool_scope()
@@ -281,37 +380,77 @@ def activity_samples(cfg: SimConfig, snr_db: float, num_blocks: int) -> np.ndarr
     cfg.validate(snr_db)
     if num_blocks < 1:
         raise ConfigError(f"num_blocks must be >= 1, got {num_blocks}")
-    res = _map_blocks(cfg, snr_db, range(num_blocks))
+    res = _map_blocks((cfg,), snr_db, range(num_blocks))
     return np.array([r.executed_real_mults / r.total_real_mults for r in res])
 
 
-@_pool_scope()
-def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
-                        resolution_db: float = 0.25) -> float:
-    """Minimum SNR (on a resolution_db grid) reaching the target BER.
+_RESOLUTION_DB = 0.25                       # the operating-point grid of a Pareto sweep
 
-    Bisection between cfg.snr_lo_db and cfg.snr_hi_db, assuming BER is
-    non-increasing in SNR.  Raises ConfigError unless the extremes are finite
-    and lo < hi, and UnreachableError if they do not bracket the target.
-    """
+
+def _bisection(cfg: SimConfig, target_ber: float, resolution_db: float):
+    """The operating-point search as a generator: yields each SNR it probes,
+    is sent that SNR's BerPoint, and returns the operating point."""
     lo, hi = cfg.snr_lo_db, cfg.snr_hi_db
     cfg.validate(lo, hi)
     if lo >= hi:
         raise ConfigError(f"snr_lo_db ({lo}) must be below snr_hi_db ({hi})")
-    if run_ber_point(cfg, lo).ber <= target_ber:
+    if (yield lo).ber <= target_ber:
         raise UnreachableError(f"BER already at target at the lower extreme {lo} dB")
-    if run_ber_point(cfg, hi).ber > target_ber:
+    if (yield hi).ber > target_ber:
         raise UnreachableError(f"BER above target at the upper extreme {hi} dB")
     while hi - lo > resolution_db + 1e-9:
         steps = round((hi - lo) / resolution_db)
         mid = lo + (steps // 2) * resolution_db
         if mid <= lo or mid >= hi:
             break
-        if run_ber_point(cfg, mid).ber <= target_ber:
+        if (yield mid).ber <= target_ber:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+@_pool_scope()
+def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
+                        resolution_db: float = _RESOLUTION_DB) -> float:
+    """Minimum SNR (on a resolution_db grid) reaching the target BER.
+
+    Bisection between cfg.snr_lo_db and cfg.snr_hi_db, assuming BER is
+    non-increasing in SNR.  Raises ConfigError unless the extremes are finite
+    and lo < hi, and UnreachableError if they do not bracket the target.
+    """
+    search = _bisection(cfg, target_ber, resolution_db)
+    try:
+        snr_db = next(search)
+        while True:
+            snr_db = search.send(run_ber_point(cfg, snr_db))
+    except StopIteration as done:
+        return done.value
+
+
+def _bisect_in_lockstep(cfgs: list, target_ber: float) -> None:
+    """Fill the memo with the BER points of each config's bisection.
+
+    The searches advance together; the requests pending at one SNR run as
+    one group.  A search that ends in UnreachableError just stops here.
+    """
+    searches = [_bisection(cfg, target_ber, _RESOLUTION_DB) for cfg in cfgs]
+    replies = [None] * len(cfgs)            # what each search is sent next
+    while True:
+        requests = {}                       # SNR -> the searches probing it
+        for i, search in enumerate(searches):
+            if search is None:
+                continue
+            try:
+                requests.setdefault(search.send(replies[i]), []).append(i)
+            except (StopIteration, UnreachableError):
+                searches[i] = None
+        if not requests:
+            return
+        for snr_db, group in requests.items():
+            points = _ber_points([cfgs[i] for i in group], snr_db)
+            for i, point in zip(group, points):
+                replies[i] = point
 
 
 @_pool_scope()
@@ -321,16 +460,23 @@ def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[P
     A candidate gives values of the algorithm's ``params``, in their order:
     a density, a ThresholdPair, or a tuple.  ConfigError if it does not
     match them.  Candidates whose target BER is unreachable are dropped.
+
+    The candidates' bisections first run in lockstep, so that blocks at one
+    SNR are simulated once for all of them (``_sim_group``).  Then each
+    candidate's search runs again, one after another, from the memo: the
+    BER points and the order of the run_ber_point calls are those of
+    separate searches.
     """
     params = cfg.detector.params
     values = [astuple(c) if is_dataclass(c) else np.ravel(c) for c in candidates]
     if not params or any(len(v) != len(params) for v in values):
         raise ConfigError(f"{cfg.algorithm} sweeps {', '.join(params) or 'no parameter'};"
                           " each candidate must give exactly those values")
+    tags = [{name: float(x) for name, x in zip(params, v)} for v in values]
+    subs = [replace(cfg, **tag) for tag in tags]
+    _bisect_in_lockstep(subs, target_ber)
     points = []
-    for v in values:
-        tag = {name: float(x) for name, x in zip(params, v)}
-        sub = replace(cfg, **tag)
+    for tag, sub in zip(tags, subs):
         try:
             snr_op = snr_operating_point(sub, target_ber)
         except UnreachableError:

@@ -247,6 +247,46 @@ def test_bad_value_names_the_key(tmp_path, capsys):
     assert f"{cfg}:2:" in err and "min_sep_deg" in err
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["ber", "--coherence-len", "none", "--snr-grid-db", "0"], "coherence_len"),
+    (["snrop", "--snr-lo-db", "none"], "snr_lo_db"),
+    (["ber", "--num-ues", "None", "--snr-grid-db", "0"], "num_ues"),
+    (["ber", "--algorithm", "", "--snr-grid-db", "0"], "algorithm"),
+])
+def test_none_only_for_optional_keys(flags, key, tmp_path, capsys):
+    rc = main([flags[0], *COMMON, *flags[1:]])
+    assert key in _one_error_line(rc, capsys)
+    cfg = tmp_path / "none.cfg"
+    cfg.write_text(f"seed = 1\n{key} = none\n")
+    rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
+    err = _one_error_line(rc, capsys)
+    assert f"{cfg}:2:" in err and key in err
+    # a field typed X | None still takes none
+    out = tmp_path / "ber.csv"
+    assert main(["ber", *COMMON, "--delta", "none", "--max-bits-per-point", "none",
+                 "--snr-grid-db", "0", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("flags, n0", [
+    (["ber", "--snr-grid-db=-4000"], "inf"),
+    (["ber", "--snr-grid-db", "0,4000"], "0.0"),
+    (["snrop", "--snr-hi-db", "4000"], "0.0"),
+    (["activity", *CSPADE, "--snr-db=-1e6"], "inf"),
+])
+def test_extreme_snr_fails_cleanly(flags, n0, capsys):
+    rc = main([flags[0], *COMMON, *flags[1:]])
+    assert f"N0 = {n0}" in _one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize("count", ["-2", "0"])
+def test_gen_channels_count_below_one_fails_cleanly(count, tmp_path, capsys):
+    outdir = tmp_path / "chans"
+    rc = main(["gen-channels", *COMMON, "--count", count, "--outdir", str(outdir)])
+    assert "count" in _one_error_line(rc, capsys)
+    assert not outdir.exists()
+
+
 def test_activity_histogram(tmp_path):
     out = tmp_path / "act.csv"
     rc = main(["activity", *COMMON, "--algorithm", "cspade",

@@ -225,6 +225,46 @@ def test_omp_makes_one_solve_per_step(monkeypatch, mode):
         assert len(calls) == K
 
 
+@pytest.mark.parametrize("mode", ["entrywise", "columnwise"])
+def test_omp_filters_of_every_size_from_one_run(monkeypatch, mode):
+    # The supports are nested, so the filter a run to K_max passes at step K
+    # is the filter of a run to K alone, bit for bit (LoS/non-LoS, perfect
+    # and LS CSI among the four instances).
+    calls = []
+    solve = equalize.solve_hermitian_pd
+
+    def counting_solve(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    for i in range(4):
+        H, rho = _harness_instance(i)
+        B = H.shape[0]
+        monkeypatch.setattr(equalize, "solve_hermitian_pd", counting_solve)
+        calls.clear()
+        eqs = omp_filter(H, rho, range(1, B + 1), mode)
+        assert len(calls) == B
+        monkeypatch.undo()
+        assert len(eqs) == B
+        for K, eq in zip(range(1, B + 1), eqs):
+            alone = omp_filter(H, rho, K, mode)
+            assert eq.W.tobytes() == alone.W.tobytes(), (i, K)
+            assert eq.domain == alone.domain
+            if mode == "entrywise":
+                assert [s.tolist() for s in eq.support] == [s.tolist() for s in alone.support]
+            else:
+                assert eq.support.tolist() == alone.support.tolist()
+    # any order, repeats allowed; a filter per size asked for
+    H, rho = _harness_instance(5)
+    out = omp_filter(H, rho, [5, 2, 5], mode)
+    sizes = [len(eq.support if mode == "columnwise" else eq.support[0]) for eq in out]
+    assert sizes == [5, 2, 5]
+    assert out[0].W.tobytes() == out[2].W.tobytes() == omp_filter(H, rho, 5, mode).W.tobytes()
+    for bad in ([], [0, 3], [3, 65]):
+        with pytest.raises(ValueError):
+            omp_filter(H, rho, bad, mode)
+
+
 def test_antenna_beamspace_filter_equivalence():
     # unitary transform commutes with LMMSE: W_b = W_a F^H
     rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 import beamspace.equalize as equalize
 import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig
-from beamspace.harness import (ConfigError, SimConfig, UnreachableError,
+from beamspace.harness import (ConfigError, ParetoPoint, SimConfig, UnreachableError,
                                activity_samples, pareto_sweep, run_ber_curve,
                                run_ber_point, snr_operating_point)
 from beamspace.spade import ThresholdPair
@@ -225,14 +226,15 @@ def test_gap_regression_golden():
 
 @pytest.fixture
 def rounds(monkeypatch):
-    """Records (config, SNR, first block index) of every block round."""
+    """Records (config, SNR, first block index) of every block round, one
+    entry per config of the round's group."""
     seen = []
     inner = harness._map_blocks
 
-    def recorded(cfg, snr_db, indices):
+    def recorded(cfgs, snr_db, indices):
         indices = list(indices)
-        seen.append((dataclasses.astuple(cfg), snr_db, indices[0]))
-        return inner(cfg, snr_db, indices)
+        seen.extend((dataclasses.astuple(cfg), snr_db, indices[0]) for cfg in cfgs)
+        return inner(cfgs, snr_db, indices)
 
     monkeypatch.setattr(harness, "_map_blocks", recorded)
     return seen
@@ -292,3 +294,105 @@ def test_bench_tracer_sees_every_detector_stage(alg):
         harness._sim_block(_cfg(algorithm=alg, **PARAMS), 6.0, 0)
     names = {span[0] for span in tracer.spans}
     assert {"equalize.filter", "spade.mvm"} <= names
+
+
+def _every_detector(base: SimConfig) -> list:
+    """One group: every detector, with several densities and thresholds."""
+    group = [dataclasses.replace(base, algorithm=a) for a in ("almmse", "blmmse")]
+    group += [dataclasses.replace(base, algorithm=a, delta=d)
+              for a in ("eomp", "comp") for d in (0.25, 1.0, 0.125, 0.5)]
+    group += [dataclasses.replace(base, algorithm=a, tau_w=w, tau_y=y)
+              for a in ("spade", "cspade") for w, y in ((0.0, 0.0), (0.02, 4.0), (0.05, 8.0))]
+    return group
+
+
+@pytest.mark.parametrize("los", [True, False])
+@pytest.mark.parametrize("csi_mode", ["perfect", "ls"])
+@pytest.mark.parametrize("arithmetic, adc_bits", [("fixed", 6), ("float", 6), ("float", None)])
+def test_sim_group_equals_solo_blocks(los, csi_mode, arithmetic, adc_bits):
+    base = _cfg(scenario=dataclasses.replace(SMALL_SCEN, los=los), csi_mode=csi_mode,
+                arithmetic=arithmetic, adc_bits=adc_bits)
+    full = _every_detector(base)
+    by_alg = {a: [c for c in full if c.algorithm == a] for a in harness.DETECTORS}
+    groups = [full, by_alg["almmse"] + by_alg["blmmse"] + by_alg["cspade"][1:2],
+              by_alg["eomp"], by_alg["comp"][::-1], by_alg["cspade"] + by_alg["eomp"][:1]]
+    for snr_db in (-2.0, 6.0, 14.0):
+        for i in (0, 3):
+            solo = {id(c): harness._sim_block(c, snr_db, i) for c in full}
+            for group in groups:
+                assert harness._sim_group(tuple(group), snr_db, i) == [
+                    solo[id(c)] for c in group], (snr_db, i, [c.algorithm for c in group])
+
+
+def _front(points):
+    """The Pareto set of (alpha, SNR operating point), as the sweep defines it."""
+    front = [p for p in points if not any(
+        q.alpha <= p.alpha and q.snr_op_db <= p.snr_op_db
+        and (q.alpha < p.alpha or q.snr_op_db < p.snr_op_db) for q in points)]
+    return sorted(front, key=lambda p: (p.alpha, p.snr_op_db))
+
+
+@pytest.mark.parametrize("alg, candidates, csi_mode, workers", [
+    ("eomp", [1.0, 0.5, 0.25, 0.125], "perfect", 1),
+    ("eomp", [0.5, 0.25], "ls", 2),
+    ("comp", [0.25, 1.0, 0.5], "ls", 1),
+    ("cspade", [ThresholdPair(0.0, 0.0), ThresholdPair(0.02, 4.0),
+                ThresholdPair(0.05, 8.0), ThresholdPair(0.4, 40.0)], "perfect", 1),
+])
+def test_pareto_sweep_equals_separate_calls(alg, candidates, csi_mode, workers, monkeypatch):
+    calls = []
+    inner = harness.run_ber_point
+
+    def recorded(cfg, snr_db):
+        point = inner(cfg, snr_db)
+        calls.append((dataclasses.astuple(cfg), snr_db, point))
+        return point
+
+    monkeypatch.setattr(harness, "run_ber_point", recorded)
+    cfg = _cfg(algorithm=alg, csi_mode=csi_mode, snr_lo_db=-5.0, snr_hi_db=25.0,
+               workers=workers)
+    with harness._pool_scope():
+        front = pareto_sweep(cfg, candidates, target_ber=1e-2)
+        memo = dict(harness._scope.points)
+    swept, calls[:] = list(calls), []
+
+    points, separate = [], {}
+    for c in candidates:
+        values = dataclasses.astuple(c) if dataclasses.is_dataclass(c) else (c,)
+        tag = dict(zip(cfg.detector.params, values))
+        sub = dataclasses.replace(cfg, **tag)
+        with harness._pool_scope():
+            try:
+                op = snr_operating_point(sub, 1e-2)
+            except UnreachableError:
+                op = None
+            separate.update(harness._scope.points)
+        if op is not None:
+            points.append(ParetoPoint(harness.run_ber_point(sub, op).mean_alpha, op, **tag))
+    assert swept == calls
+    assert memo == separate
+    assert front == _front(points)
+
+
+def test_threshold_grid_builds_one_filter_per_block(monkeypatch):
+    counts = Counter()
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("lmmse_filter", "quantize_filter", "_sim_group", "_sim_block"):
+        monkeypatch.setattr(harness, name, counting(name))
+    cfg = _cfg(algorithm="cspade", snr_lo_db=-5.0, snr_hi_db=25.0)
+    grid = [ThresholdPair(w, y) for w in (0.01, 0.03) for y in (2.0, 6.0)]
+    with harness._pool_scope():
+        pareto_sweep(cfg, grid, target_ber=1e-2)
+        memo = dict(harness._scope.points)
+    bits_per_block = SMALL_SCEN.num_ues * 4 * cfg.coherence_len
+    assert counts["_sim_block"] == sum(p.bits // bits_per_block for p in memo.values())
+    assert counts["lmmse_filter"] == counts["quantize_filter"] == counts["_sim_group"]
+    assert counts["_sim_block"] >= 2 * counts["_sim_group"]

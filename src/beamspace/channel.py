@@ -126,12 +126,13 @@ def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.
         powers = 10.0 ** (-cfg.decay_db_per_path * np.arange(cfg.num_paths_nlos) / 10.0)
         powers /= powers.sum()
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random().
+    normal, uniform = rng.standard_normal, rng.random
     phases, draws = [], []
     for _ in azimuths_deg:
         if cfg.los:
-            phases.append(2.0 * np.pi * rng.random())
-        draws += [(rng.standard_normal(), rng.standard_normal(), rng.random())
-                  for _ in powers]
+            phases.append(2.0 * np.pi * uniform())
+        for _ in powers:
+            draws += (normal(), normal(), uniform())
     d = np.array(draws).reshape(len(azimuths_deg), len(powers), 3)
     gains = (d[..., 0] + 1j * d[..., 1]) * np.sqrt(powers / 2.0)
     freqs = np.pi * np.sin(np.deg2rad(-half + 2.0 * half * d[..., 2]))

@@ -10,6 +10,7 @@ DFT followed by output quantization to the (9, 1) format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,36 +90,44 @@ def dft_unitary(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_noise(shape, N0: float, rng: np.random.Generator) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian noise with per-entry variance N0."""
-    n = rng.standard_normal((2,) + np.broadcast_shapes(shape))   # the same stream as two draws
-    return (n[0] + 1j * n[1]) * np.sqrt(N0 / 2.0)
-
-
-def receive(H: np.ndarray, s: np.ndarray, N0: float,
-            adc: AdcConfig | None, rng: np.random.Generator):
+def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
+            rng: np.random.Generator, beamspace: bool = True):
     """One (possibly batched) receive operation.
 
-    Returns (antenna ReceiveVector, beamspace ReceiveVector).  With an ADC,
-    antenna values are step-normalized mid-rise levels in the (7, 1) format
-    and beamspace values are the exact unitary DFT of those, re-quantized
-    to the (9, 1) format with saturation.  With adc=None both are exact
-    floating-point samples in physical units.
+    Returns (antenna ReceiveVector, beamspace ReceiveVector), the second None
+    unless ``beamspace``.  The noise is circularly-symmetric complex Gaussian
+    with per-entry variance N0: one standard_normal draw of both rails (the
+    real rail's block first), scaled and added in place onto H s.  With an
+    ADC, antenna values are step-normalized mid-rise levels in the (7, 1)
+    format and beamspace values are the exact unitary DFT of those,
+    re-quantized to the (9, 1) format with saturation.  With adc=None both
+    are exact floating-point samples in physical units.
     """
-    z = H @ s + draw_noise((H.shape[0],) + np.shape(s)[1:], N0, rng)
+    z = np.asarray(H @ s, dtype=complex)
+    noise = rng.standard_normal((2,) + z.shape)
+    noise *= np.sqrt(N0 / 2.0)
+    z.real += noise[0]
+    z.imag += noise[1]
     if adc is None:
         return (ReceiveVector("antenna", z, None),
-                ReceiveVector("beamspace", dft_unitary(z), None))
+                ReceiveVector("beamspace", dft_unitary(z), None) if beamspace else None)
     ybar = quantize_adc(z, adc.step, adc.bits)
+    if not beamspace:
+        return ReceiveVector("antenna", ybar, ANTENNA_Y_FMT), None
     yb = FxComplexArray.quantize(dft_unitary(ybar), BEAMSPACE_Y_FMT)
     return (ReceiveVector("antenna", ybar, ANTENNA_Y_FMT),
             ReceiveVector("beamspace", yb.values, BEAMSPACE_Y_FMT))
 
 
+@lru_cache(maxsize=16)
 def dft_pilots(num_ues: int, Es: float) -> np.ndarray:
-    """Orthogonal pilot matrix: sqrt(Es) times the unitary U x U DFT."""
+    """Orthogonal pilot matrix: sqrt(Es) times the unitary U x U DFT.
+
+    Built once per (num_ues, Es) and returned read-only."""
     F = np.fft.fft(np.eye(num_ues)) / np.sqrt(num_ues)
-    return np.sqrt(Es) * F
+    pilots = np.sqrt(Es) * F
+    pilots.flags.writeable = False
+    return pilots
 
 
 def ls_estimate(y_pilot_values: np.ndarray, pilots: np.ndarray, Es: float) -> np.ndarray:

@@ -11,11 +11,12 @@ Configs that agree on every field but the algorithm and its params (a
 group) draw the same channel, bits and noise at a given SNR and block
 index, because the stream does not depend on the algorithm and every
 detector draws in the same order.  A group's block therefore runs the
-front end once (channel draw, both receive domains, CSI, rho), builds each
-distinct filter once (one LMMSE filter per domain; one greedy OMP run per
-support rule up to the group's largest K, whose supports are nested, so
-the filter at each smaller K is the one a run to that K gives), and only
-then runs each config's kernel and demap.  A Pareto sweep's bisections run
+front end once (channel draw, receive, CSI, rho; the beamspace data only
+if a detector of the group reads it), builds each distinct filter once
+(one LMMSE filter per domain; one greedy OMP run per support rule up to
+the group's largest K, whose supports are nested, so the filter at each
+smaller K is the one a run to that K gives), and only then runs each
+config's kernel and demap.  A Pareto sweep's bisections run
 in lockstep, so that the candidates probing one SNR form a group; every
 BER point is still the one its config gets alone.  Only one block's shared
 state is held at a time.
@@ -178,10 +179,12 @@ def _filter_key(cfg: SimConfig) -> tuple:
     return det.domain, det.omp, max(1, round(cfg.delta * B)) if det.omp else B
 
 
-def _front_end(cfg: SimConfig, snr_db: float, block_index: int) -> dict:
+def _front_end(cfg: SimConfig, snr_db: float, block_index: int, beamspace: bool) -> dict:
     """What a block's configs have in common: every RNG draw in the stream's
     order (channel, pilot noise for LS CSI, bits, data noise), the received
-    pilots and data in both domains, and the regularization rho."""
+    pilots and data in the antenna domain, and in beamspace too if
+    ``beamspace`` (some config of the group detects there), and the
+    regularization rho."""
     rng = _block_rng(cfg, snr_db, block_index)
     H = draw_scenario(cfg.scenario, rng).H
     U = H.shape[1]
@@ -197,10 +200,10 @@ def _front_end(cfg: SimConfig, snr_db: float, block_index: int) -> dict:
     shared = {"H": H, "step": step, "rho": N0 / (Es * step ** 2)}
     if cfg.csi_mode == "ls":
         shared["pilots"] = dft_pilots(U, Es)
-        shared["pilot_rx"] = receive(H, shared["pilots"], N0, adc, rng)
+        shared["pilot_rx"] = receive(H, shared["pilots"], N0, adc, rng, beamspace)
     shared["tx_bits"] = rng.integers(0, 2, size=(cfg.coherence_len, U, BITS_PER_SYMBOL))
     S = map_bits(shared["tx_bits"], Es).T  # (U, T)
-    shared["rx"] = receive(H, S, N0, adc, rng)  # (antenna, beamspace)
+    shared["rx"] = receive(H, S, N0, adc, rng, beamspace)  # (antenna, beamspace)
     return shared
 
 
@@ -250,7 +253,8 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int,
     if shared is None:
         shared = {"group": (cfg,)}
     if "rx" not in shared:
-        shared.update(_front_end(cfg, snr_db, block_index))
+        beamspace = any(c.detector.domain == "beamspace" for c in shared["group"])
+        shared.update(_front_end(cfg, snr_db, block_index, beamspace))
     det = cfg.detector
     eq = _filter(cfg, shared)
     yvec = shared["rx"][_DOMAINS.index(det.domain)]
@@ -390,6 +394,8 @@ _RESOLUTION_DB = 0.25                       # the operating-point grid of a Pare
 def _bisection(cfg: SimConfig, target_ber: float, resolution_db: float):
     """The operating-point search as a generator: yields each SNR it probes,
     is sent that SNR's BerPoint, and returns the operating point."""
+    if not 0.0 < target_ber < 1.0:     # also false for NaN
+        raise ConfigError(f"target BER must be in (0, 1), got {target_ber}")
     lo, hi = cfg.snr_lo_db, cfg.snr_hi_db
     cfg.validate(lo, hi)
     if lo >= hi:
@@ -416,8 +422,9 @@ def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
     """Minimum SNR (on a resolution_db grid) reaching the target BER.
 
     Bisection between cfg.snr_lo_db and cfg.snr_hi_db, assuming BER is
-    non-increasing in SNR.  Raises ConfigError unless the extremes are finite
-    and lo < hi, and UnreachableError if they do not bracket the target.
+    non-increasing in SNR.  Raises ConfigError unless the target is in
+    (0, 1), the extremes are finite and lo < hi, and UnreachableError if they
+    do not bracket the target.
     """
     search = _bisection(cfg, target_ber, resolution_db)
     try:

@@ -8,6 +8,7 @@ model: an active unit is assumed to toggle at rate 1 and a muted one at 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Mute-capable area fractions of the modeled architectures.
@@ -36,6 +37,11 @@ class ArchModel:
             raise ValueError(f"kind must be 'AT' or 'MAC', got {self.kind!r}")
         if not 0.0 <= self.mute_fraction <= 1.0:
             raise ValueError("mute_fraction must be in [0, 1]")
+        if not 0.0 < self.clock_hz < math.inf:     # also false for NaN
+            raise ValueError(f"clock_hz must be finite and positive, got {self.clock_hz}")
+        for name in ("num_ues", "num_beams", "bits_per_symbol"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def power_proxy(alpha: float, mute_fraction: float) -> float:

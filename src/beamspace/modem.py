@@ -14,7 +14,11 @@ BITS_PER_SYMBOL = 4
 
 # bit pair (as integer b0*2 + b1) -> unnormalized level
 _GRAY_TO_LEVEL = np.array([-3.0, -1.0, 3.0, 1.0])  # 00, 01, 10, 11
-_LEVEL_INDEX_TO_GRAY = np.array([0b00, 0b01, 0b11, 0b10])  # levels -3,-1,1,3
+# 4-bit label (b0 b1 b2 b3 as an integer) -> unnormalized symbol
+_SYMBOLS = (_GRAY_TO_LEVEL[:, None] + 1j * _GRAY_TO_LEVEL[None, :]).ravel()
+_LABEL_WEIGHTS = np.array([8, 4, 2, 1])
+# level index 0..3 (levels -3, -1, +1, +3) -> its Gray bit pair
+_LEVEL_INDEX_TO_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 
 
 def _norm(Es: float) -> float:
@@ -26,9 +30,7 @@ def map_bits(bits: np.ndarray, Es: float = 1.0) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.shape[-1] != BITS_PER_SYMBOL:
         raise ValueError(f"last axis must have {BITS_PER_SYMBOL} bits")
-    i_idx = bits[..., 0] * 2 + bits[..., 1]
-    q_idx = bits[..., 2] * 2 + bits[..., 3]
-    return (_GRAY_TO_LEVEL[i_idx] + 1j * _GRAY_TO_LEVEL[q_idx]) * _norm(Es)
+    return _SYMBOLS[bits @ _LABEL_WEIGHTS] * _norm(Es)
 
 
 def _slice_dim(x: np.ndarray) -> np.ndarray:
@@ -44,5 +46,6 @@ def demap_hard(symbols: np.ndarray, Es: float = 1.0) -> np.ndarray:
     """Nearest-point hard decisions: symbols (...) -> bits (..., 4)."""
     s = np.asarray(symbols) / _norm(Es)
     rails = np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,))
-    g = _LEVEL_INDEX_TO_GRAY[_slice_dim(rails)]     # (..., 2): in-phase, quadrature
-    return np.stack([g >> 1, g & 1], axis=-1).reshape(s.shape + (BITS_PER_SYMBOL,))
+    # (..., 2, 2): the in-phase then the quadrature bit pair
+    pairs = np.take(_LEVEL_INDEX_TO_BITS, _slice_dim(rails), axis=0)
+    return pairs.reshape(s.shape + (BITS_PER_SYMBOL,))

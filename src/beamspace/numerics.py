@@ -3,7 +3,10 @@
 All fixed-point values are two's-complement codes with a format (W, F):
 W total bits including sign, F fractional bits.  The real value of a code
 c is c * 2**-F.  Conversion rounds to nearest with ties away from zero and
-saturates to the format extremes instead of wrapping.
+saturates to the format extremes instead of wrapping.  One rounding rule
+(``_scaled_round``) serves ``round_ties_away``, ``to_fixed`` and
+``FxComplexArray.quantize``; the last runs it as one in-place float pass,
+with no integer round trip.
 """
 
 from __future__ import annotations
@@ -59,10 +62,17 @@ BEAMSPACE_W_FMT = FixedFormat(12, 11)   # beamspace filter entries
 ESTIMATE_FMT = FixedFormat(13, 8)       # symbol estimates
 
 
+def _scaled_round(x, scale: float) -> np.ndarray:
+    """x * scale rounded to the nearest integer, ties away from zero, as a new
+    float array (0-d for scalar x): the package's one rounding rule."""
+    r = np.multiply(x, scale, out=np.empty(np.shape(x)))
+    r += np.copysign(0.5, r)
+    return np.trunc(r, out=r)
+
+
 def round_ties_away(x):
     """Round to nearest integer, ties away from zero (elementwise)."""
-    x = np.asarray(x, dtype=float)
-    return np.trunc(x + np.copysign(0.5, x))
+    return _scaled_round(x, 1.0)
 
 
 def to_fixed(x, fmt: FixedFormat):
@@ -73,7 +83,7 @@ def to_fixed(x, fmt: FixedFormat):
     (+/- max_code), so |value| never exceeds max_code * lsb.  Works
     elementwise on arrays.
     """
-    raw = round_ties_away(np.asarray(x, dtype=float) * 2.0 ** fmt.frac)
+    raw = _scaled_round(x, 2.0 ** fmt.frac)
     codes = np.clip(raw, -fmt.max_code, fmt.max_code)
     saturated = raw != codes
     return codes.astype(np.int64), saturated
@@ -98,9 +108,12 @@ class FxComplexArray:
 
     @classmethod
     def quantize(cls, x, fmt: FixedFormat) -> FxComplexArray:
-        """Codes of complex values x: one to_fixed pass over the interleaved rails."""
-        codes, _ = to_fixed(np.ascontiguousarray(x, dtype=complex).view(float), fmt)
-        return cls(codes.astype(float).view(complex), fmt)
+        """Codes of complex values x, the codes to_fixed gives each rail: one
+        float pass over the interleaved rails that scales, rounds and clips."""
+        r = _scaled_round(np.ascontiguousarray(x, dtype=complex).view(float), 2.0 ** fmt.frac)
+        np.clip(r, -fmt.max_code, fmt.max_code, out=r)
+        r += 0.0        # -0.0 -> +0.0, as an integer code has no signed zero
+        return cls(r.view(complex), fmt)
 
     @property
     def codes_re(self) -> np.ndarray:

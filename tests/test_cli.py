@@ -224,6 +224,19 @@ def test_snrop_rejects_inverted_range_before_simulating(lo, hi, monkeypatch, cap
     assert "snr_lo_db" in _one_error_line(rc, capsys)
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "0", "1", "-1"])
+@pytest.mark.parametrize("command", [["snrop"], ["pareto", "--algorithm", "eomp",
+                                                 "--delta-grid", "1.0,0.5"]])
+def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeypatch,
+                                                       capsys):
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(harness, "_sim_block", no_block)
+    rc = main([command[0], *COMMON, *command[1:], "--target-ber", target])
+    assert "target BER" in _one_error_line(rc, capsys)
+
+
 @pytest.mark.parametrize("flags, name", [
     (["ber", "--snr-grid-db", ","], "snr_grid_db"),
     (["pareto", "--algorithm", "eomp", "--delta-grid", ","], "delta_grid"),
@@ -311,6 +324,22 @@ def test_power_report(tmp_path):
     assert fields[0] == "at-cspade"
     assert abs(float(fields[3]) - 0.3443) < 1e-12
     assert float(fields[6 - 1]) == 32.0
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--arch", "mac-cspade", "--num-antennas", "0"], "num_beams"),
+    (["--num-antennas", "-4"], "num_beams"),
+    (["--num-ues", "0"], "num_ues"),
+    (["--clock-hz", "-1"], "clock_hz"),
+    (["--clock-hz", "0"], "clock_hz"),
+    (["--clock-hz", "nan"], "clock_hz"),
+    (["--clock-hz", "inf"], "clock_hz"),
+])
+def test_power_rejects_degenerate_architecture(flags, name, tmp_path, capsys):
+    out = tmp_path / "power.csv"
+    rc = main(["power", "--alpha", "0.5", *flags, "--out", str(out)])
+    assert name in _one_error_line(rc, capsys)
+    assert not out.exists()
 
 
 def test_power_report_all_archs(tmp_path):

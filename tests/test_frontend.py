@@ -11,8 +11,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
 from beamspace.channel import ScenarioConfig, draw_scenario
-from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary,
-                                draw_noise, ls_estimate,
+from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
                                 optimal_unit_step, perfect_csi, quantize_adc,
                                 receive, unified_step)
 from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, to_fixed
@@ -162,9 +161,10 @@ def test_four_point_dft_of_ones():
 def test_beamspace_noise_stays_white():
     rng = np.random.default_rng(11)
     N0 = 0.8
-    n = draw_noise((16, 20000), N0, rng)
-    nb = dft_unitary(n)
-    var = np.mean(np.abs(nb) ** 2, axis=1)
+    # no signal and no ADC: receive returns the noise and its unitary DFT
+    n, nb = receive(np.zeros((16, 1)), np.zeros((1, 20000)), N0, None, rng)
+    assert np.all(np.abs(np.mean(np.abs(n.values) ** 2, axis=1) - N0) < 0.05 * N0)
+    var = np.mean(np.abs(nb.values) ** 2, axis=1)
     assert np.all(np.abs(var - N0) < 0.05 * N0)
 
 
@@ -231,6 +231,16 @@ def test_pilots_are_orthogonal():
     assert np.allclose(P @ P.conj().T, 2.0 * np.eye(8), atol=1e-12)
 
 
+def test_pilots_are_built_once_and_read_only():
+    P = dft_pilots(8, 2.0)
+    assert dft_pilots(8, 2.0) is P and dft_pilots(4, 2.0) is not P
+    assert not P.flags.writeable
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
+    ref = np.sqrt(2.0) * (np.fft.fft(np.eye(8)) / np.sqrt(8))
+    assert P.tobytes() == ref.tobytes()
+
+
 def test_perfect_csi_is_step_normalized_truth():
     H = np.array([[1.0 + 2.0j], [3.0 - 1.0j]])
     assert np.allclose(perfect_csi(H, 0.5), 2.0 * H)
@@ -295,3 +305,10 @@ def test_receive_matches_frozen_copy():
             assert g.values.shape == r.shape and g.values.dtype == r.dtype
             assert g.values.tobytes() == r.tobytes(), i
         assert r_new.bit_generator.state == r_ref.bit_generator.state
+        # antenna only: the same antenna bytes and the same stream consumed
+        r_ant = np.random.default_rng([i, 1])
+        ant, none = receive(H, s, N0, adc, r_ant, beamspace=False)
+        assert none is None
+        assert ant.values.shape == ref[0].shape and ant.values.dtype == ref[0].dtype
+        assert ant.values.tobytes() == ref[0].tobytes(), i
+        assert r_ant.bit_generator.state == r_ref.bit_generator.state

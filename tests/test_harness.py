@@ -163,6 +163,16 @@ def test_pareto_rejects_candidates_of_other_params(alg, candidates, rounds):
     assert rounds == []
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), 0.0, 1.0, -1.0])
+def test_target_ber_outside_unit_interval_rejected(target, rounds):
+    # every `ber <= nan` is False, so a NaN target once walked to snr_hi_db
+    with pytest.raises(ConfigError, match="target BER"):
+        snr_operating_point(_cfg(algorithm="almmse"), target)
+    with pytest.raises(ConfigError, match="target BER"):
+        pareto_sweep(_cfg(algorithm="eomp", delta=1.0), [1.0, 0.5], target_ber=target)
+    assert rounds == []
+
+
 def test_sparse_density_grid_alphas_exact():
     cfg = _cfg(algorithm="eomp", snr_lo_db=-5.0, snr_hi_db=25.0)
     pts = pareto_sweep(cfg, [1.0, 0.5, 0.25], target_ber=1e-2)
@@ -322,6 +332,27 @@ def test_sim_group_equals_solo_blocks(los, csi_mode, arithmetic, adc_bits):
             for group in groups:
                 assert harness._sim_group(tuple(group), snr_db, i) == [
                     solo[id(c)] for c in group], (snr_db, i, [c.algorithm for c in group])
+
+
+@pytest.mark.parametrize("csi_mode", ["perfect", "ls"])
+def test_front_end_builds_beamspace_only_for_beamspace_detectors(csi_mode, monkeypatch):
+    calls = []
+    receive = harness.receive
+
+    def recorded(*args, **kwargs):
+        rx = receive(*args, **kwargs)
+        calls.append(rx[1] is not None)
+        return rx
+
+    monkeypatch.setattr(harness, "receive", recorded)
+    base = _cfg(csi_mode=csi_mode)
+    receives = 2 if csi_mode == "ls" else 1          # LS pilots, then data
+    for algs, beamspace in ((["almmse"], False), (["almmse", "blmmse"], True),
+                            (["blmmse", "almmse"], True), (["spade"], True)):
+        calls.clear()
+        harness._sim_group(tuple(dataclasses.replace(base, algorithm=a, **PARAMS)
+                                 for a in algs), 6.0, 0)
+        assert calls == [beamspace] * receives, algs
 
 
 def _front(points):

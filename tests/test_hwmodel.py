@@ -48,8 +48,23 @@ def test_mac_throughput_divided_by_beams():
 
 
 def test_degenerate_zero_bits():
-    arch = ArchModel("AT", 0.83, 1e9, 8, 64, 0)
-    assert throughput_bps(arch) == 0.0
+    # a symbol of zero bits has no throughput to report: rejected at construction
+    with pytest.raises(ValueError, match="bits_per_symbol"):
+        ArchModel("AT", 0.83, 1e9, 8, 64, 0)
+
+
+@pytest.mark.parametrize("clock_hz", [0.0, -1.0, float("nan"), float("inf")])
+def test_clock_must_be_finite_and_positive(clock_hz):
+    with pytest.raises(ValueError, match="clock_hz"):
+        ArchModel("MAC", 0.92, clock_hz, 8, 64, 4)
+
+
+@pytest.mark.parametrize("field, args", [("num_ues", (0, 64, 4)), ("num_beams", (8, 0, 4)),
+                                         ("num_beams", (8, -64, 4)),
+                                         ("bits_per_symbol", (8, 64, -1))])
+def test_counts_must_be_at_least_one(field, args):
+    with pytest.raises(ValueError, match=field):
+        ArchModel("MAC", 0.92, 1e9, *args)
 
 
 def test_mute_fraction_table():

@@ -84,3 +84,40 @@ def test_demap_matches_frozen_copy_on_estimate_grid():
                                   _frozen_demap_hard(symbols, Es))
             block = symbols[:8184].reshape(8, -1).T
             assert np.array_equal(demap_hard(block, Es), _frozen_demap_hard(block, Es))
+
+
+def _frozen_map_bits(bits, Es):
+    """map_bits as first written: one Gray level lookup per rail."""
+    levels = np.array([-3.0, -1.0, 3.0, 1.0])
+    i_idx = bits[..., 0] * 2 + bits[..., 1]
+    q_idx = bits[..., 2] * 2 + bits[..., 3]
+    return (levels[i_idx] + 1j * levels[q_idx]) * np.sqrt(Es / 10.0)
+
+
+def _stacked_demap_hard(symbols, Es):
+    """demap_hard before its bit-pair table: Gray codes split by np.stack."""
+    s = np.asarray(symbols) / np.sqrt(Es / 10.0)
+    rails = np.ascontiguousarray(s, dtype=complex).view(float).reshape(s.shape + (2,))
+    idx = (rails >= -2.0).astype(np.int64) + (rails >= 0.0) + (rails > 2.0)
+    g = np.array([0b00, 0b01, 0b11, 0b10])[idx]
+    return np.stack([g >> 1, g & 1], axis=-1).reshape(s.shape + (BITS_PER_SYMBOL,))
+
+
+def test_tables_match_old_formulas_byte_for_byte():
+    bits = np.random.default_rng(3).integers(0, 2, size=(128, 8, BITS_PER_SYMBOL))
+    for Es in (1.0, 2.5, 10.0, 0.37):
+        for b in (ALL_LABELS, bits, ALL_LABELS[5]):
+            got, ref = map_bits(b, Es), _frozen_map_bits(b, Es)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+        # the slicer edges (+-2, 0 and -0.0 on each rail, thresholds at +-2
+        # when Es = 10) and their neighbours, next to the 16 symbols
+        edges = np.array([-2.0, 2.0, 0.0, -0.0, -3.0, 3.0, 1.0, -1.0])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                np.nextafter(edges, -np.inf)]) * np.sqrt(Es / 10.0)
+        grid = edges[:, None] + 1j * edges[None, :]
+        for symbols in (grid, grid.T, map_bits(ALL_LABELS, Es), map_bits(bits, Es).T):
+            got, ref = demap_hard(symbols, Es), _stacked_demap_hard(symbols, Es)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+            assert np.array_equal(got, _frozen_demap_hard(symbols, Es))

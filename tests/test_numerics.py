@@ -80,6 +80,19 @@ def test_complex_quantize_matches_per_rail_to_fixed():
     assert not np.signbit(fx.values.view(float)[fx.values.view(float) == 0]).any()
 
 
+def test_complex_quantize_gives_positive_zero_codes():
+    # inputs in (-0.5, 0) LSB, -0.0 among them, round to the code +0.0 on both
+    # rails, the bytes an integer code converted back to float has
+    lsb = W4F2.lsb
+    x = -lsb * np.array([0.0, 1e-300, 0.1, 0.25, 0.4, 0.4999999])
+    z = np.stack([x, x[::-1]], axis=-1).view(complex)[:, 0]    # -0.0 on both rails
+    fx = FxComplexArray.quantize(z, W4F2)
+    assert fx.codes.tobytes() == np.zeros(z.shape, dtype=complex).tobytes()
+    assert fx.values.tobytes() == np.zeros(z.shape, dtype=complex).tobytes()
+    # -0.5 LSB is a tie and rounds away from zero
+    assert FxComplexArray.quantize(np.array([-0.5 * lsb - 0.5j * lsb]), W4F2).codes[0] == -1 - 1j
+
+
 def test_negative_saturation_is_symmetric():
     fmt = FixedFormat(6, 2)
     codes, sat = to_fixed(-100.0, fmt)

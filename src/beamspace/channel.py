@@ -10,6 +10,7 @@ UE column into a +/- power_ctrl_db window around ||h||^2 = B.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,9 +104,7 @@ def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
         az = rng.uniform(-half, half, size=cfg.num_ues)
         if cfg.num_ues == 1:
             return az
-        gaps = np.abs(az[:, None] - az[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() >= cfg.min_sep_deg:
+        if np.diff(np.sort(az)).min() >= cfg.min_sep_deg:   # the closest pair
             return az
     span = cfg.sector_deg - (cfg.num_ues - 1) * cfg.min_sep_deg
     az = np.sort(rng.uniform(-half, -half + span, size=cfg.num_ues))
@@ -132,7 +131,7 @@ def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.
         if cfg.los:
             phases.append(2.0 * np.pi * uniform())
         for _ in powers:
-            draws += (normal(), normal(), uniform())
+            draws += (*normal(2).tolist(), uniform())
     d = np.array(draws).reshape(len(azimuths_deg), len(powers), 3)
     gains = (d[..., 0] + 1j * d[..., 1]) * np.sqrt(powers / 2.0)
     freqs = np.pi * np.sin(np.deg2rad(-half + 2.0 * half * d[..., 2]))
@@ -146,11 +145,12 @@ def apply_power_control(H: np.ndarray, range_db: float, target: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Rescale each column so its power sits uniformly within +/- range_db of target."""
     H = np.asarray(H, dtype=complex)
-    powers = [np.linalg.norm(h) ** 2 for h in H.T]
+    # The bytes np.linalg.norm(h) ** 2 gives: a dot product per rail, one sqrt.
+    powers = [math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag)) ** 2 for h in H.T]
     if 0.0 in powers:
         raise ValueError(f"column {powers.index(0.0)} has zero power")
     offsets_db = rng.uniform(-range_db, range_db, size=len(powers)).tolist()
-    return H * np.array([np.sqrt(target * 10.0 ** (o / 10.0) / p)
+    return H * np.array([math.sqrt(target * 10.0 ** (o / 10.0) / p)
                          for o, p in zip(offsets_db, powers)])
 
 

@@ -7,7 +7,6 @@ rescale 2^k chosen so the largest entry component lands in [0.25, 0.5).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,31 +16,58 @@ from .numerics import FixedFormat, FxComplexArray, solve_hermitian_pd
 
 @dataclass
 class EqualizerMatrix:
-    """U x B filter with its OMP support (None: dense) and optional fixed-point view."""
+    """U x B filter with its OMP support (None: dense) and optional fixed-point
+    view, or a stack of N such filters with a leading axis on every field."""
 
-    W: np.ndarray                      # complex, shape (U, B)
+    W: np.ndarray                      # complex, shape (U, B) or (N, U, B)
     domain: str = "beamspace"          # 'antenna' | 'beamspace'
-    support: object = None             # entrywise: list of per-row index arrays
-                                       # columnwise: shared index array
+    support: np.ndarray | None = None  # sorted beam indices, entrywise (U, K) per
+                                       # row, columnwise (K,) shared
     fx: FxComplexArray | None = None
-    scale_exp: int = 0                 # stored codes represent W * 2^scale_exp
+    scale_exp: int | np.ndarray = 0    # stored codes represent W * 2^scale_exp
 
     @property
     def num_ues(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @property
     def num_beams(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
+
+    def __getitem__(self, n: int) -> EqualizerMatrix:
+        """Filter n of a stack, its arrays views into the stack's."""
+        return EqualizerMatrix(
+            W=self.W[n], domain=self.domain,
+            support=None if self.support is None else self.support[n],
+            fx=None if self.fx is None else FxComplexArray(self.fx.codes[n], self.fx.fmt),
+            scale_exp=int(np.broadcast_to(self.scale_exp, self.W.shape[:1])[n]))
 
 
-def lmmse_filter(H: np.ndarray, rho: float, domain: str = "beamspace") -> EqualizerMatrix:
-    """Regularized LMMSE filter W = (H^H H + rho I)^-1 H^H via the U x U Gram."""
+def _stacked(H: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """H as an (N, B, U) stack and rho as (N, 1, 1): one matrix is a stack of
+    one, and a scalar rho serves every matrix of a stack."""
     H = np.asarray(H, dtype=complex)
-    U = H.shape[1]
-    gram = H.conj().T @ H + rho * np.eye(U)
-    W = solve_hermitian_pd(gram, H.conj().T)
-    return EqualizerMatrix(W=W, domain=domain)
+    stack = H.reshape((-1,) + H.shape[-2:])
+    return stack, np.broadcast_to(np.asarray(rho, dtype=float), stack.shape[:1])[:, None, None]
+
+
+def _unstacked(eq: EqualizerMatrix, H: np.ndarray) -> EqualizerMatrix:
+    """The filter of one matrix H from its stack of one, or the stack as is."""
+    return eq[0] if np.ndim(H) == 2 else eq
+
+
+def lmmse_filter(H: np.ndarray, rho, domain: str = "beamspace") -> EqualizerMatrix:
+    """Regularized LMMSE filter W = (H^H H + rho I)^-1 H^H via the U x U Gram.
+
+    H may be one B x U matrix or a stack (N, B, U) with rho a scalar or one
+    value per matrix; a stack gives a stack of filters, each equal byte for
+    byte to the filter of its matrix alone."""
+    Hs, rho_s = _stacked(H, rho)
+    U = Hs.shape[-1]
+    Hh = Hs.conj().swapaxes(-1, -2)
+    gram = Hh @ Hs + rho_s * np.eye(U)
+    W = solve_hermitian_pd(gram, Hh)
+    return _unstacked(EqualizerMatrix(W=W, domain=domain), H)
 
 
 def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
@@ -52,7 +78,7 @@ def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
     return float(np.linalg.norm(r, "fro") ** 2 + rho * np.linalg.norm(eq.W, "fro") ** 2)
 
 
-def omp_filter(H: np.ndarray, rho: float, K: int | list[int], mode: str,
+def omp_filter(H: np.ndarray, rho, K: int | list[int], mode: str,
                domain: str = "beamspace") -> EqualizerMatrix | list[EqualizerMatrix]:
     """Strictly sparse filter via orthogonal matching pursuit over beam rows.
 
@@ -71,19 +97,23 @@ def omp_filter(H: np.ndarray, rho: float, K: int | list[int], mode: str,
     K solves in either mode.  rho must be positive (G is singular for
     rho = 0 while |S| < U).
 
-    K may also be a sequence of sizes: one greedy run to the largest then
-    returns the list of filters of those sizes, in the order given.  The
-    state after step k does not depend on K (the supports are nested), so
-    each equals the filter of a run to that size alone, bit for bit.
+    H may also be a stack (N, B, U), with rho a scalar or one value per
+    matrix: the N runs step in lockstep, still one solve per step, and
+    each filter of the stack equals the filter of its matrix alone, byte
+    for byte.  K may also be a sequence of sizes: one greedy run to the
+    largest then returns the list of filters of those sizes, in the order
+    given.  The state after step k does not depend on K (the supports are
+    nested), so each equals the filter of a run to that size alone.
     """
-    H = np.asarray(H, dtype=complex)
-    B, U = H.shape
+    Hs, rho_s = _stacked(H, rho)
+    N, B, U = Hs.shape
     sizes = [K] if np.isscalar(K) else list(K)
     if not sizes or not all(1 <= k <= B for k in sizes):
         raise ValueError(f"K must be in 1..{B}, got {K}")
-    if not rho > 0:
+    if not np.all(rho_s > 0):
         raise ValueError(f"rho must be positive, got {rho}")
     eye = np.eye(U)
+    stack = np.arange(N)
     built = {}
 
     if mode == "entrywise":
@@ -91,52 +121,56 @@ def omp_filter(H: np.ndarray, rho: float, K: int | list[int], mode: str,
         # Hermitian) is rho conj(X[:, u])^T and its correlation with beam b
         # is rho |H[b] X[:, u]|.  Row u of the filter, on S_u, is
         # conj(H[S_u] X[:, u])^T.
-        G = np.tile(rho * np.eye(U, dtype=complex), (U, 1, 1))
-        chosen = np.zeros((U, B), dtype=bool)
+        G = np.repeat((rho_s * np.eye(U, dtype=complex))[:, None], U, axis=1)
+        chosen = np.zeros((N, U, B), dtype=bool)
         rows = np.arange(U)
-        HX = H                                 # X = I before the first step
+        HX = Hs                                # X = I before the first step
         for k in range(1, max(sizes) + 1):
-            corr = np.abs(HX.T)                # (U, B)
+            corr = np.abs(HX.swapaxes(-1, -2))  # (N, U, B)
             corr[chosen] = -1.0
-            b_star = np.argmax(corr, axis=1)   # first (smallest) index on ties
-            chosen[rows, b_star] = True
-            h = H[b_star]                      # (U, U): row u is UE u's new beam
-            G += h.conj()[:, :, None] * h[:, None, :]
-            X = solve_hermitian_pd(G, eye[:, :, None])[..., 0].T
-            HX = H @ X
+            b_star = np.argmax(corr, axis=-1)  # first (smallest) index on ties
+            chosen[stack[:, None], rows, b_star] = True
+            h = Hs[stack[:, None], b_star]     # (N, U, U): row u is UE u's new beam
+            G += h.conj()[..., :, None] * h[..., None, :]
+            X = solve_hermitian_pd(G, eye[:, :, None])[..., 0].swapaxes(-1, -2)
+            HX = Hs @ X
             if k in sizes:
-                built[k] = EqualizerMatrix(W=np.where(chosen, HX.T.conj(), 0.0),
-                                           domain=domain,
-                                           support=[np.flatnonzero(row) for row in chosen])
+                built[k] = EqualizerMatrix(
+                    W=np.where(chosen, HX.swapaxes(-1, -2).conj(), 0.0), domain=domain,
+                    support=np.nonzero(chosen)[-1].reshape(N, U, k))
 
     elif mode == "columnwise":
-        Hh = H.conj().T
-        G = rho * eye
-        chosen = np.zeros(B, dtype=bool)
+        Hh = Hs.conj().swapaxes(-1, -2)
+        G = rho_s * eye
+        chosen = np.zeros((N, B), dtype=bool)
         Ginv = eye                             # R / rho, with R = I before the first step
         for k in range(1, max(sizes) + 1):
-            score = np.linalg.norm(Ginv @ Hh, axis=0)  # ||R (h_b^r)^H||_2 / rho
+            score = np.linalg.norm(Ginv @ Hh, axis=-2)  # ||R (h_b^r)^H||_2 / rho
             score[chosen] = -1.0
-            b_star = int(np.argmax(score))
-            chosen[b_star] = True
-            h = H[b_star]
-            G = G + np.outer(h.conj(), h)
+            b_star = np.argmax(score, axis=-1)
+            chosen[stack, b_star] = True
+            h = Hs[stack, b_star]              # (N, U)
+            G = G + h.conj()[:, :, None] * h[:, None, :]
             Ginv = solve_hermitian_pd(G, eye)
             if k in sizes:
-                W = np.zeros((U, B), dtype=complex)
-                W[:, chosen] = Ginv @ Hh[:, chosen]
-                built[k] = EqualizerMatrix(W=W, domain=domain, support=np.flatnonzero(chosen))
+                W = np.zeros((N, U, B), dtype=complex)
+                for n in range(N):
+                    W[n][:, chosen[n]] = Ginv[n] @ Hh[n][:, chosen[n]]
+                built[k] = EqualizerMatrix(W=W, domain=domain,
+                                           support=np.nonzero(chosen)[-1].reshape(N, k))
 
     else:
         raise ValueError(f"unknown OMP mode {mode!r}")
-    filters = [built[k] for k in sizes]
+    filters = [_unstacked(built[k], H) for k in sizes]
     return filters[0] if np.isscalar(K) else filters
 
 
 def quantize_filter(eq: EqualizerMatrix, fmt: FixedFormat) -> EqualizerMatrix:
-    """Attach a fixed-point view: scale by 2^k into [0.25, 0.5), then quantize."""
+    """Attach a fixed-point view: scale by 2^k into [0.25, 0.5), then quantize.
+    A stack of filters gets one k per filter."""
     W = eq.W
-    max_abs = float(max(np.abs(W.real).max(), np.abs(W.imag).max(), 0.0))
+    max_abs = np.maximum(np.abs(W.real).max(axis=(-2, -1)), np.abs(W.imag).max(axis=(-2, -1)))
     # max_abs = m 2^e with m in [0.5, 1), so max_abs 2^(-e-1) is in [0.25, 0.5)
-    k = -math.frexp(max_abs)[1] - 1 if max_abs else 0
-    return replace(eq, fx=FxComplexArray.quantize(W * 2.0 ** k, fmt), scale_exp=k)
+    k = np.where(max_abs > 0, -np.frexp(max_abs)[1] - 1, 0)
+    fx = FxComplexArray.quantize(W * np.ldexp(1.0, k)[..., None, None], fmt)
+    return replace(eq, fx=fx, scale_exp=int(k) if k.ndim == 0 else k)

@@ -83,10 +83,12 @@ def quantize_adc(z: np.ndarray, step: float, bits: int) -> np.ndarray:
 
 
 def dft_unitary(x: np.ndarray) -> np.ndarray:
-    """Unitary DFT along the first axis (F F^H = I)."""
+    """Unitary DFT (F F^H = I) along the beam axis: the first of a vector, the
+    second-last of a matrix or of a stack of matrices."""
     x = np.asarray(x, dtype=complex)
-    out = np.fft.fft(x, axis=0)
-    out *= 1.0 / np.sqrt(x.shape[0])    # what dividing by sqrt(B) computes
+    axis = -2 if x.ndim > 1 else 0
+    out = np.fft.fft(x, axis=axis)
+    out *= 1.0 / np.sqrt(x.shape[axis])    # what dividing by sqrt(B) computes
     return out
 
 
@@ -108,10 +110,12 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
     noise *= np.sqrt(N0 / 2.0)
     z.real += noise[0]
     z.imag += noise[1]
+    del noise           # each 64 x 128 temporary goes as soon as it is used
     if adc is None:
         return (ReceiveVector("antenna", z, None),
                 ReceiveVector("beamspace", dft_unitary(z), None) if beamspace else None)
     ybar = quantize_adc(z, adc.step, adc.bits)
+    del z
     if not beamspace:
         return ReceiveVector("antenna", ybar, ANTENNA_Y_FMT), None
     yb = FxComplexArray.quantize(dft_unitary(ybar), BEAMSPACE_Y_FMT)
@@ -133,16 +137,18 @@ def dft_pilots(num_ues: int, Es: float) -> np.ndarray:
 def ls_estimate(y_pilot_values: np.ndarray, pilots: np.ndarray, Es: float) -> np.ndarray:
     """Least-squares channel estimate from U pilot-slot observations.
 
-    y_pilot_values has shape (B, U) with slot u carrying pilots[:, u]; the
-    estimate lives in the same domain and normalization as the observations.
-    Noiseless unquantized observations recover the channel exactly.
+    y_pilot_values has shape (B, U), or (N, B, U) for a stack of blocks, with
+    slot u carrying pilots[:, u]; the estimate lives in the same domain and
+    normalization as the observations.  Noiseless unquantized observations
+    recover the channel exactly.
     """
     y = np.asarray(y_pilot_values)
-    if y.shape[1] != pilots.shape[0]:
+    if y.shape[-1] != pilots.shape[0]:
         raise ValueError("pilot observation count does not match pilot length")
     return y @ pilots.conj().T / Es
 
 
-def perfect_csi(H: np.ndarray, step: float) -> np.ndarray:
-    """Genie estimate: true channel, step-normalized like the data path."""
+def perfect_csi(H: np.ndarray, step) -> np.ndarray:
+    """Genie estimate: true channel, step-normalized like the data path; a
+    stack (N, B, U) takes one step per block, shaped (N, 1, 1)."""
     return np.asarray(H, dtype=complex) / step

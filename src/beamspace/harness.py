@@ -16,10 +16,13 @@ if a detector of the group reads it), builds each distinct filter once
 (one LMMSE filter per domain; one greedy OMP run per support rule up to
 the group's largest K, whose supports are nested, so the filter at each
 smaller K is the one a run to that K gives), and only then runs each
-config's kernel and demap.  A Pareto sweep's bisections run
-in lockstep, so that the candidates probing one SNR form a group; every
-BER point is still the one its config gets alone.  Only one block's shared
-state is held at a time.
+config's kernel and demap.  A round's blocks run in contiguous chunks:
+each filter is built and quantized in one stacked call over a chunk,
+whose filters equal those of its blocks alone byte for byte.  A chunk
+holds its blocks' CSI and filters; the data is held one block at a time.
+A Pareto sweep's bisections run in lockstep, so that the candidates
+probing one SNR form a group; every BER point is still the one its
+config gets alone.
 """
 
 from __future__ import annotations
@@ -180,83 +183,89 @@ def _filter_key(cfg: SimConfig) -> tuple:
 
 
 def _front_end(cfg: SimConfig, snr_db: float, block_index: int, beamspace: bool) -> dict:
-    """What a block's configs have in common: every RNG draw in the stream's
-    order (channel, pilot noise for LS CSI, bits, data noise), the received
-    pilots and data in the antenna domain, and in beamspace too if
-    ``beamspace`` (some config of the group detects there), and the
-    regularization rho."""
+    """A block's state up to its CSI, common to the configs of a group: its
+    Generator after the channel draw and, for LS CSI, the pilot noise; the
+    channel, ADC, step and regularization rho; and the received pilots, in
+    beamspace too if ``beamspace`` (some config of the group detects there)."""
     rng = _block_rng(cfg, snr_db, block_index)
     H = draw_scenario(cfg.scenario, rng).H
-    U = H.shape[1]
-    Es = cfg.Es
     N0 = cfg.noise_power(snr_db)
     if cfg.adc_bits is None:
         adc = None
         step = 1.0
     else:
         unit = optimal_unit_step(cfg.adc_bits)
-        adc = AdcConfig(cfg.adc_bits, unit, unified_step(H, Es, N0, cfg.adc_bits))
+        adc = AdcConfig(cfg.adc_bits, unit, unified_step(H, cfg.Es, N0, cfg.adc_bits))
         step = adc.step
-    shared = {"H": H, "step": step, "rho": N0 / (Es * step ** 2)}
+    block = {"rng": rng, "H": H, "N0": N0, "adc": adc, "beamspace": beamspace,
+             "step": step, "rho": N0 / (cfg.Es * step ** 2)}
     if cfg.csi_mode == "ls":
-        shared["pilots"] = dft_pilots(U, Es)
-        shared["pilot_rx"] = receive(H, shared["pilots"], N0, adc, rng, beamspace)
-    shared["tx_bits"] = rng.integers(0, 2, size=(cfg.coherence_len, U, BITS_PER_SYMBOL))
-    S = map_bits(shared["tx_bits"], Es).T  # (U, T)
-    shared["rx"] = receive(H, S, N0, adc, rng, beamspace)  # (antenna, beamspace)
-    return shared
+        block["pilots"] = dft_pilots(H.shape[1], cfg.Es)
+        block["pilot_rx"] = receive(H, block["pilots"], N0, adc, rng, beamspace)
+    return block
 
 
-def _estimate(cfg: SimConfig, shared: dict, domain: str) -> np.ndarray:
-    """The channel estimate in ``domain``, built once per block and group."""
-    key = ("csi", domain)
-    if key not in shared:
+def _estimates(cfg: SimConfig, blocks: list, domain: str, built: dict) -> np.ndarray:
+    """The chunk's channel estimates in ``domain``, stacked (N, B, U); each
+    domain's stack is built once per chunk and group (in ``built``)."""
+    if domain not in built:
         if cfg.csi_mode == "ls":
-            pilot_rx = shared["pilot_rx"][_DOMAINS.index(domain)]
-            shared[key] = ls_estimate(pilot_rx.values, shared["pilots"], cfg.Es)
+            pilot_rx = np.stack([b["pilot_rx"][_DOMAINS.index(domain)].values
+                                 for b in blocks])
+            built[domain] = ls_estimate(pilot_rx, blocks[0]["pilots"], cfg.Es)
         elif domain == "antenna":
-            shared[key] = perfect_csi(shared["H"], shared["step"])
+            steps = np.array([b["step"] for b in blocks])[:, None, None]
+            built[domain] = perfect_csi(np.stack([b["H"] for b in blocks]), steps)
         else:
-            shared[key] = dft_unitary(_estimate(cfg, shared, "antenna"))
-    return shared[key]
+            built[domain] = dft_unitary(_estimates(cfg, blocks, "antenna", built))
+    return built[domain]
 
 
-def _filter(cfg: SimConfig, shared: dict):
-    """The config's filter, quantized in fixed point; each distinct filter
-    is built and quantized once per block and group.  The OMP filters of
-    one support rule come from one greedy run to the group's largest K."""
-    key = _filter_key(cfg)
-    if key not in shared:
-        domain, omp, K = key
-        if ("float", *key) not in shared:
-            H_est = _estimate(cfg, shared, domain)
-            if omp:
-                sizes = sorted({k for d, o, k in map(_filter_key, shared["group"])
-                                if (d, o) == (domain, omp)})
-                eqs = omp_filter(H_est, shared["rho"], sizes, omp, domain=domain)
-            else:
-                sizes, eqs = [K], [lmmse_filter(H_est, shared["rho"], domain=domain)]
-            shared.update({("float", domain, omp, k): eq for k, eq in zip(sizes, eqs)})
-        eq = shared["float", *key]
-        shared[key] = quantize_filter(eq, _W_FMT[domain]) if cfg.arithmetic == "fixed" else eq
-    return shared[key]
+def _build_filters(cfgs: tuple, blocks: list) -> None:
+    """Each distinct filter of the group for every block of a chunk, built
+    and quantized once over the chunk: one lmmse_filter call per domain, one
+    omp_filter call per support rule, run to the group's largest K (its
+    supports are nested, so the filter at each smaller K is the one a run
+    to that K gives), and one quantize_filter call per _filter_key.  Block
+    n's filters go into ``blocks[n]`` under their keys."""
+    cfg = cfgs[0]
+    keys = list(dict.fromkeys(map(_filter_key, cfgs)))
+    rho = np.array([b["rho"] for b in blocks])
+    estimates = {}
+    for domain, omp in dict.fromkeys(key[:2] for key in keys):
+        H_est = _estimates(cfg, blocks, domain, estimates)
+        sizes = [k for d, o, k in keys if (d, o) == (domain, omp)]
+        if omp:
+            eqs = omp_filter(H_est, rho, sizes, omp, domain=domain)
+        else:
+            eqs = [lmmse_filter(H_est, rho, domain=domain)]
+        for K, eq in zip(sizes, eqs):
+            if cfg.arithmetic == "fixed":
+                eq = quantize_filter(eq, _W_FMT[domain])
+            for n, block in enumerate(blocks):
+                block[domain, omp, K] = eq[n]
 
 
 def _sim_block(cfg: SimConfig, snr_db: float, block_index: int,
                shared: dict | None = None) -> BlockResult:
     """One coherence block of one config.
 
-    ``shared`` holds the block's state common to the configs of a group
-    (key "group"): the first of them fills in the front end, estimates and
-    filters, and the others reuse them.  Alone, a config gets a fresh one.
+    ``shared`` is the block's state common to the configs of a group, with
+    its filters built (``_sim_chunk``): the first config draws the bits and
+    data noise from the block's Generator and receives the data, and the
+    others reuse them.  Alone, a config runs a chunk of this one block.
     """
     if shared is None:
-        shared = {"group": (cfg,)}
+        return _sim_chunk((cfg,), snr_db, [block_index])[0]
     if "rx" not in shared:
-        beamspace = any(c.detector.domain == "beamspace" for c in shared["group"])
-        shared.update(_front_end(cfg, snr_db, block_index, beamspace))
+        rng = shared["rng"]
+        U = shared["H"].shape[1]
+        shared["tx_bits"] = rng.integers(0, 2, size=(cfg.coherence_len, U, BITS_PER_SYMBOL))
+        S = map_bits(shared["tx_bits"], cfg.Es).T  # (U, T)
+        shared["rx"] = receive(shared["H"], S, shared["N0"], shared["adc"], rng,
+                               shared["beamspace"])  # (antenna, beamspace)
     det = cfg.detector
-    eq = _filter(cfg, shared)
+    eq = shared[_filter_key(cfg)]
     yvec = shared["rx"][_DOMAINS.index(det.domain)]
     tx_bits = shared["tx_bits"]
     U, B = eq.W.shape
@@ -278,13 +287,33 @@ def _sim_block(cfg: SimConfig, snr_db: float, block_index: int,
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
 
+def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
+    """Blocks ``indices`` of a group of configs, which agree on every field
+    but the algorithm and its params: one BlockResult per config and block,
+    block by block in the group's order.
+
+    Three passes: per block, the draws up to the CSI on the block's own
+    Generator (``_front_end``); per distinct filter, one stacked build and
+    quantization over the chunk (``_build_filters``); then per block, each
+    config's ``_sim_block``, of which the first draws the bits and data
+    noise from that same Generator, so each block's stream keeps its order.
+    The chunk holds its blocks' CSI and filters; a block's data is dropped
+    before the next block's is drawn.
+    """
+    cfg = cfgs[0]
+    beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
+    blocks = [_front_end(cfg, snr_db, i, beamspace) for i in indices]
+    _build_filters(cfgs, blocks)
+    results = []
+    for i, shared in zip(indices, blocks):
+        results += [_sim_block(c, snr_db, i, shared) for c in cfgs]
+        shared.clear()                  # the block's data goes before the next is drawn
+    return results
+
+
 def _sim_group(cfgs: tuple, snr_db: float, block_index: int) -> list[BlockResult]:
-    """One block of each config of a group, which agree on every field but
-    the algorithm and its params: at one SNR and block index they draw the
-    same channel, bits and noise, so the front end runs once for all and
-    each distinct filter once.  Only this one block's state is held."""
-    shared = {"group": cfgs}
-    return [_sim_block(cfg, snr_db, block_index, shared) for cfg in cfgs]
+    """One block of each config of a group: a chunk of one block."""
+    return _sim_chunk(cfgs, snr_db, [block_index])
 
 
 # Per thread: the public call in progress (``open``), its process pool
@@ -315,21 +344,34 @@ def _pool_scope():
             pool.shutdown(cancel_futures=True)
 
 
+# The most blocks a chunk holds.  Stacking a filter build over N blocks
+# divides its per-call overhead by N: on 2 cores with one BLAS thread, an
+# entrywise OMP run to K = 16 and 32 took 1550 us per block alone, 770 at
+# N = 8 and 725 at N = 16, while a chunk's CSI and filters (tens of KiB
+# per 64 x 8 block) grow with N.
+_CHUNK_BLOCKS = 8
+
+
 @_pool_scope()
 def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     """Blocks ``indices`` of a group of configs: one BlockResult per config
-    and block, block by block in the group's order."""
+    and block, block by block in the group's order.  The blocks are cut into
+    contiguous chunks of near-equal size, at most _CHUNK_BLOCKS, as many as
+    a multiple of the worker count; each chunk is one serial step or pool
+    task (``_sim_chunk``)."""
     indices = list(indices)
-    workers = cfgs[0].workers
-    if workers <= 1 or len(indices) <= 1:
-        groups = [_sim_group(cfgs, snr_db, i) for i in indices]
+    workers = max(1, cfgs[0].workers)
+    n = len(indices)
+    count = min(n, workers * -(-n // (workers * _CHUNK_BLOCKS))) or 1
+    chunks = [indices[n * j // count:n * (j + 1) // count] for j in range(count)]
+    fn = partial(_sim_chunk, cfgs, snr_db)
+    if workers <= 1 or len(chunks) <= 1:
+        results = map(fn, chunks)
     else:
-        fn = partial(_sim_group, cfgs, snr_db)
-        chunk = max(1, len(indices) // (4 * workers))
         if _scope.pool is None:
             _scope.pool = ProcessPoolExecutor(max_workers=workers)
-        groups = _scope.pool.map(fn, indices, chunksize=chunk)
-    return [res for group in groups for res in group]
+        results = _scope.pool.map(fn, chunks)
+    return [res for chunk in results for res in chunk]
 
 
 def _ber_points(cfgs, snr_db: float) -> list[BerPoint]:

@@ -62,11 +62,19 @@ BEAMSPACE_W_FMT = FixedFormat(12, 11)   # beamspace filter entries
 ESTIMATE_FMT = FixedFormat(13, 8)       # symbol estimates
 
 
+_BELOW_HALF = np.nextafter(0.5, 0.0)     # 0.5 - 2^-54
+
+
 def _scaled_round(x, scale: float) -> np.ndarray:
     """x * scale rounded to the nearest integer, ties away from zero, as a new
-    float array (0-d for scalar x): the package's one rounding rule."""
+    float array (0-d for scalar x): the package's one rounding rule.
+
+    Adding the float just below a half before truncating is exact for every
+    finite float: a tie k + 1/2 still rounds up to k + 1, while 0.5 itself
+    would lift the float just below a half, and odd integers above 2^52,
+    to the next integer."""
     r = np.multiply(x, scale, out=np.empty(np.shape(x)))
-    r += np.copysign(0.5, r)
+    r += np.copysign(_BELOW_HALF, r)
     return np.trunc(r, out=r)
 
 

@@ -265,6 +265,57 @@ def test_omp_filters_of_every_size_from_one_run(monkeypatch, mode):
             omp_filter(H, rho, bad, mode)
 
 
+def _stack_corpus():
+    """Twelve harness instances, and twelve integer-valued channels whose
+    equal magnitudes tie the OMP argmax (two beams repeat another's row)."""
+    Hs, rhos = zip(*map(_harness_instance, range(12)))
+    rng = np.random.default_rng(12)
+    ties = rng.integers(-2, 3, (12, 64, 8)) + 1j * rng.integers(-2, 3, (12, 64, 8))
+    ties[:, 5] = ties[:, 9] = ties[:, 2]
+    return [(np.stack(Hs), np.array(rhos)), (ties, np.full(12, 0.5))]
+
+
+@pytest.mark.parametrize("mode", ["entrywise", "columnwise"])
+def test_stacked_omp_equals_single_matrix_calls(mode):
+    for Hs, rhos in _stack_corpus():
+        sizes = [1, 3, 16, 32, 64]
+        stacked = omp_filter(Hs, rhos, sizes, mode)
+        for n in range(len(Hs)):
+            for K, alone, eq in zip(sizes, omp_filter(Hs[n], rhos[n], sizes, mode), stacked):
+                s = eq[n]
+                assert s.W.tobytes() == alone.W.tobytes(), (n, K)
+                assert s.support.tobytes() == alone.support.tobytes(), (n, K)
+                q, q_alone = quantize_filter(eq, BEAMSPACE_W_FMT)[n], quantize_filter(
+                    alone, BEAMSPACE_W_FMT)
+                assert q.fx.codes.tobytes() == q_alone.fx.codes.tobytes(), (n, K)
+                assert q.scale_exp == q_alone.scale_exp and type(q.scale_exp) is int
+        # one K gives one stacked filter; one rho serves the whole stack
+        one = omp_filter(Hs, rhos[0], 5, mode)
+        assert one.W.shape == (len(Hs), 8, 64)
+        assert one[3].W.tobytes() == omp_filter(Hs[3], rhos[0], 5, mode).W.tobytes()
+
+
+def test_stacked_lmmse_equals_single_matrix_calls():
+    for Hs, rhos in _stack_corpus():
+        stacked = lmmse_filter(Hs, rhos, domain="antenna")
+        q_stacked = quantize_filter(stacked, BEAMSPACE_W_FMT)
+        assert q_stacked.scale_exp.shape == (len(Hs),)
+        for n in range(len(Hs)):
+            alone = lmmse_filter(Hs[n], rhos[n], domain="antenna")
+            assert stacked[n].W.tobytes() == alone.W.tobytes()
+            assert stacked[n].domain == "antenna" and stacked[n].support is None
+            q = quantize_filter(alone, BEAMSPACE_W_FMT)
+            assert q_stacked[n].fx.codes.tobytes() == q.fx.codes.tobytes()
+            assert q_stacked[n].scale_exp == q.scale_exp
+
+
+def test_stacked_quantize_keeps_zero_matrices_at_scale_zero():
+    W = np.zeros((3, 2, 4), dtype=complex)
+    W[1, 0, 0] = 0.01
+    eq = quantize_filter(EqualizerMatrix(W=W), FixedFormat(8, 7))
+    assert eq.scale_exp.tolist() == [0, 5, 0]
+
+
 def test_antenna_beamspace_filter_equivalence():
     # unitary transform commutes with LMMSE: W_b = W_a F^H
     rng = np.random.default_rng(7)

@@ -306,6 +306,20 @@ def test_bench_tracer_sees_every_detector_stage(alg):
     assert {"equalize.filter", "spade.mvm"} <= names
 
 
+def test_bench_tracer_sees_chunk_stages():
+    # A chunk of four blocks builds each filter in one stacked call, through
+    # the names the tracer rebinds: one LMMSE solve, one solve per OMP step.
+    tracing = _bench_tracing()
+    cfgs = (_cfg(algorithm="eomp", delta=0.5), _cfg(algorithm="almmse"))
+    with tracing.Tracer(stages=True) as tracer:
+        results = harness._map_blocks(cfgs, 6.0, range(4))
+    names = Counter(span[0] for span in tracer.spans)
+    K = round(0.5 * SMALL_SCEN.num_antennas)
+    assert len(results) == names["harness.block"] == 8
+    assert names["equalize.filter"] == names["equalize.quantize"] == 2
+    assert names["numerics.solve"] == K + 1
+
+
 def _every_detector(base: SimConfig) -> list:
     """One group: every detector, with several densities and thresholds."""
     group = [dataclasses.replace(base, algorithm=a) for a in ("almmse", "blmmse")]
@@ -406,24 +420,80 @@ def test_pareto_sweep_equals_separate_calls(alg, candidates, csi_mode, workers, 
 
 
 def test_threshold_grid_builds_one_filter_per_block(monkeypatch):
-    counts = Counter()
+    # However the blocks are chunked, each block's filter is built and
+    # quantized exactly once for all the configs of its group: counted in
+    # filter matrices (one per matrix of a stacked call), not in calls.
+    matrices, calls = Counter(), Counter()
 
-    def counting(name):
+    def counting(name, count):
         fn = getattr(harness, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            matrices[name] += count(*args)
+            calls[name] += 1
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("lmmse_filter", "quantize_filter", "_sim_group", "_sim_block"):
-        monkeypatch.setattr(harness, name, counting(name))
+    def stack(a):
+        return int(np.prod(np.shape(a)[:-2]))
+
+    monkeypatch.setattr(harness, "lmmse_filter", counting("lmmse_filter", lambda H, *_: stack(H)))
+    monkeypatch.setattr(harness, "quantize_filter",
+                        counting("quantize_filter", lambda eq, *_: stack(eq.W)))
+    monkeypatch.setattr(harness, "_sim_chunk", counting("_sim_chunk", lambda c, s, i: len(i)))
+    monkeypatch.setattr(harness, "_sim_block", counting("_sim_block", lambda *_: 1))
     cfg = _cfg(algorithm="cspade", snr_lo_db=-5.0, snr_hi_db=25.0)
     grid = [ThresholdPair(w, y) for w in (0.01, 0.03) for y in (2.0, 6.0)]
     with harness._pool_scope():
         pareto_sweep(cfg, grid, target_ber=1e-2)
         memo = dict(harness._scope.points)
     bits_per_block = SMALL_SCEN.num_ues * 4 * cfg.coherence_len
-    assert counts["_sim_block"] == sum(p.bits // bits_per_block for p in memo.values())
-    assert counts["lmmse_filter"] == counts["quantize_filter"] == counts["_sim_group"]
-    assert counts["_sim_block"] >= 2 * counts["_sim_group"]
+    group_blocks = matrices["_sim_chunk"]
+    assert matrices["_sim_block"] == sum(p.bits // bits_per_block for p in memo.values())
+    assert matrices["lmmse_filter"] == matrices["quantize_filter"] == group_blocks
+    assert calls["lmmse_filter"] == calls["quantize_filter"] == calls["_sim_chunk"]
+    assert calls["_sim_chunk"] < group_blocks
+    assert matrices["_sim_block"] >= 2 * group_blocks
+
+
+@pytest.mark.parametrize("los", [True, False])
+@pytest.mark.parametrize("csi_mode", ["perfect", "ls"])
+@pytest.mark.parametrize("arithmetic, adc_bits", [("fixed", 6), ("float", 6), ("float", None)])
+def test_sim_chunk_equals_sim_group_blocks(los, csi_mode, arithmetic, adc_bits):
+    base = _cfg(scenario=dataclasses.replace(SMALL_SCEN, los=los), csi_mode=csi_mode,
+                arithmetic=arithmetic, adc_bits=adc_bits)
+    full = _every_detector(base)
+    groups = [full, [c for c in full if c.algorithm in ("almmse", "comp", "spade")][::-1]]
+    indices = list(range(5, 13))
+    for group in map(tuple, groups):
+        blocks = [res for i in indices for res in harness._sim_group(group, 6.0, i)]
+        for size in (1, 3, 8):
+            chunked = [res for j in range(0, len(indices), size)
+                       for res in harness._sim_chunk(group, 6.0, indices[j:j + size])]
+            assert chunked == blocks, (size, [c.algorithm for c in group])
+
+
+def test_map_blocks_cuts_rounds_into_chunks(monkeypatch):
+    chunks = []
+    inner = harness._sim_chunk
+
+    def recorded(cfgs, snr_db, indices):
+        chunks.append(list(indices))
+        return inner(cfgs, snr_db, indices)
+
+    monkeypatch.setattr(harness, "_sim_chunk", recorded)
+    cfg = _cfg(algorithm="almmse", coherence_len=8)
+    for workers, n, sizes in ((1, 3, [3]), (1, 20, [6, 7, 7]), (1, 16, [8, 8]), (4, 1, [1])):
+        chunks.clear()
+        harness._map_blocks((dataclasses.replace(cfg, workers=workers),), 6.0, range(2, 2 + n))
+        assert [len(c) for c in chunks] == sizes
+        assert [i for c in chunks for i in c] == list(range(2, 2 + n))
+
+
+def test_map_blocks_identical_at_one_two_and_four_workers():
+    group = (_cfg(algorithm="eomp", delta=0.25), _cfg(algorithm="cspade", **PARAMS))
+    serial = harness._map_blocks(group, 6.0, range(3, 23))
+    for workers in (2, 4):
+        pooled = tuple(dataclasses.replace(c, workers=workers) for c in group)
+        assert harness._map_blocks(pooled, 6.0, range(3, 23)) == serial
+    assert multiprocessing.active_children() == []

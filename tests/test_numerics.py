@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,6 +40,44 @@ def test_ties_round_away_from_zero():
     assert round_ties_away(2.5) == 3.0
     assert round_ties_away(0.5) == 1.0
     assert round_ties_away(-0.5) == -1.0
+
+
+def test_rounding_is_exact_next_to_halves_and_above_2_pow_52():
+    below_half = math.nextafter(0.5, 0.0)                  # 0.49999999999999994
+    assert round_ties_away(below_half) == 0.0
+    assert round_ties_away(-below_half) == 0.0
+    assert round_ties_away(2.0 ** 52 + 1) == 2.0 ** 52 + 1
+    assert round_ties_away(-(2.0 ** 52 + 1)) == -(2.0 ** 52 + 1)
+    assert [float(round_ties_away(x)) for x in (0.5, -0.5, 2.5, -2.5)] == [1, -1, 3, -3]
+    codes, _ = to_fixed(below_half * W4F2.lsb, W4F2)
+    assert codes == 0
+    assert FxComplexArray.quantize(np.array([below_half * W4F2.lsb]), W4F2).codes[0] == 0
+
+
+def _round_oracle(x: float) -> float:
+    """Round half away from zero in exact rational arithmetic."""
+    q = abs(Fraction(x))
+    return math.copysign(float(math.floor(q + Fraction(1, 2))), x)
+
+
+def test_rounding_matches_exact_oracle():
+    # every k + 1/2 for |k| < 2000 and its neighbouring floats, the same at
+    # 2^20 + k and 2^51 + k, every float within 64 ulp of 2^52 and 2^53, and
+    # random floats of every scale
+    halves = np.concatenate([np.arange(-2000, 2000) + 0.5,
+                             2.0 ** 20 + np.arange(-500, 500) + 0.5,
+                             2.0 ** 51 + np.arange(-500, 500) + 0.5])
+    near = [np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)]
+    powers = [np.array([p]) for p in (2.0 ** 52, 2.0 ** 53)]
+    for _ in range(64):
+        powers += [np.nextafter(powers[-2], np.inf), np.nextafter(powers[-1], -np.inf)]
+    rng = np.random.default_rng(3)
+    scaled = rng.standard_normal(5000) * 2.0 ** rng.integers(-60, 60, 5000)
+    x = np.concatenate([halves, *near, *powers, scaled])
+    x = np.concatenate([x, -x, [0.0, -0.0]])
+    got = round_ties_away(x)
+    want = np.array([_round_oracle(v) for v in x.tolist()])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_requantize_widening_is_exact():

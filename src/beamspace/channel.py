@@ -17,22 +17,6 @@ import numpy as np
 
 
 @dataclass
-class PathSet:
-    """Per-UE propagation paths: complex gains and spatial frequencies."""
-
-    gains: np.ndarray          # complex, shape (L,)
-    spatial_freqs: np.ndarray  # radians in [-pi, pi), shape (L,)
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=complex)
-        self.spatial_freqs = np.asarray(self.spatial_freqs, dtype=float)
-        if self.gains.shape != self.spatial_freqs.shape or self.gains.ndim != 1:
-            raise ValueError("gains and spatial_freqs must be 1-D with equal length")
-        if self.gains.size < 1:
-            raise ValueError("at least one path is required")
-
-
-@dataclass
 class ScenarioConfig:
     """System geometry and UE drop statistics for one simulation scenario."""
 
@@ -67,32 +51,12 @@ class ChannelMatrix:
 
     H: np.ndarray                      # complex, shape (B, U)
     angles_deg: np.ndarray = field(default=None)
-    paths: list = field(default_factory=list)
-
-    @property
-    def num_antennas(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def num_ues(self) -> int:
-        return self.H.shape[1]
-
-
-def steering_vector(phi: float, num_antennas: int) -> np.ndarray:
-    """ULA array response [1, e^{j phi}, ..., e^{j (B-1) phi}]."""
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    return np.exp(1j * phi * np.arange(num_antennas))
 
 
 def _basis(freqs: np.ndarray, num_antennas: int) -> np.ndarray:
-    """Steering vectors of paths with spatial frequencies (..., L): (..., B, L)."""
+    """ULA steering vectors [1, e^{j phi}, ..., e^{j (B-1) phi}] of paths with
+    spatial frequencies phi (..., L): (..., B, L)."""
     return np.exp(1j * (np.arange(num_antennas)[:, None] * freqs[..., None, :]))
-
-
-def synth_ue_channel(paths: PathSet, num_antennas: int) -> np.ndarray:
-    """Superpose path steering vectors: h = sum_l alpha_l a(phi_l)."""
-    return _basis(paths.spatial_freqs, num_antennas) @ paths.gains
 
 
 def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -160,8 +124,7 @@ def draw_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelMatri
     gains, freqs = _draw_paths(cfg, rng, angles)
     H = np.column_stack([b @ g for b, g in zip(_basis(freqs, cfg.num_antennas), gains)])
     H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rng)
-    return ChannelMatrix(H=H, angles_deg=angles,
-                         paths=[PathSet(g, f) for g, f in zip(gains, freqs)])
+    return ChannelMatrix(H=H, angles_deg=angles)
 
 
 def dump_channel_csv(H: np.ndarray, path) -> None:
@@ -173,21 +136,3 @@ def dump_channel_csv(H: np.ndarray, path) -> None:
             for u in range(H.shape[1]):
                 writer.writerow([b, u, repr(float(H[b, u].real)),
                                  repr(float(H[b, u].imag))])
-
-
-def load_channel_csv(path) -> ChannelMatrix:
-    """Read a channel dumped by :func:`dump_channel_csv` (or an external tool)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append((int(rec["b"]), int(rec["u"]),
-                         float(rec["re"]), float(rec["im"])))
-    if not rows:
-        raise ValueError(f"no channel entries in {path}")
-    B = max(r[0] for r in rows) + 1
-    U = max(r[1] for r in rows) + 1
-    H = np.zeros((B, U), dtype=complex)
-    for b, u, re, im in rows:
-        H[b, u] = re + 1j * im
-    return ChannelMatrix(H=H)

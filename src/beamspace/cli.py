@@ -196,6 +196,8 @@ def _cmd_power(args) -> int:
     if args.mute_fraction is not None:
         mf = float(args.mute_fraction)
         archs = [(args.arch or "custom", mf)]
+    elif args.arch == "custom":
+        raise ConfigError("--arch custom requires --mute-fraction")
     elif args.arch:
         archs = [(args.arch, hwmodel.MUTE_FRACTIONS[args.arch.lower()])]
     else:

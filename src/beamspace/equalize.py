@@ -26,14 +26,6 @@ class EqualizerMatrix:
     fx: FxComplexArray | None = None
     scale_exp: int | np.ndarray = 0    # stored codes represent W * 2^scale_exp
 
-    @property
-    def num_ues(self) -> int:
-        return self.W.shape[-2]
-
-    @property
-    def num_beams(self) -> int:
-        return self.W.shape[-1]
-
     def __getitem__(self, n: int) -> EqualizerMatrix:
         """Filter n of a stack, its arrays views into the stack's."""
         return EqualizerMatrix(
@@ -73,8 +65,7 @@ def lmmse_filter(H: np.ndarray, rho, domain: str = "beamspace") -> EqualizerMatr
 def residual_objective(eq: EqualizerMatrix, H: np.ndarray, rho: float) -> float:
     """||I - W H||_F^2 + rho ||W||_F^2."""
     H = np.asarray(H)
-    U = eq.num_ues
-    r = np.eye(U) - eq.W @ H
+    r = np.eye(eq.W.shape[-2]) - eq.W @ H
     return float(np.linalg.norm(r, "fro") ** 2 + rho * np.linalg.norm(eq.W, "fro") ** 2)
 
 

@@ -32,17 +32,35 @@ class AdcConfig:
             raise ValueError("step sizes must be positive")
 
 
-@dataclass
 class ReceiveVector:
     """Received samples tagged with their domain and fixed-point format.
 
-    values are step-normalized when fmt is set (exact on the format grid);
-    fmt None means unquantized floating-point samples in physical units.
+    Quantized samples (fmt set) are step-normalized and held once, as the
+    FxComplexArray ``fx`` of their codes; ``values`` reads them back, exact
+    on the format grid.  Given as values rather than as codes, they must lie
+    on that grid within [min_code, max_code] * lsb, or ValueError.  fmt None
+    means unquantized floating-point samples in physical units, and fx None.
     """
 
-    domain: str                 # 'antenna' | 'beamspace'
-    values: np.ndarray          # complex, shape (B,) or (B, T)
-    fmt: FixedFormat | None
+    def __init__(self, domain: str, values, fmt: FixedFormat | None):
+        self.domain, self.fmt = domain, fmt     # domain: 'antenna' | 'beamspace'
+        self.fx = self._values = None
+        if fmt is None:
+            self._values = values       # complex, shape (B,) or (B, T)
+        elif isinstance(values, FxComplexArray):
+            if values.fmt != fmt:
+                raise ValueError(f"codes in {values.fmt}, not {fmt}")
+            self.fx = values
+        else:
+            codes = np.ascontiguousarray(values, dtype=complex).view(float) * 2.0 ** fmt.frac
+            if not np.all((codes == np.trunc(codes)) & (codes >= fmt.min_code)
+                          & (codes <= fmt.max_code)):
+                raise ValueError(f"values off the {fmt} grid")
+            self.fx = FxComplexArray(codes.view(complex), fmt)
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._values if self.fx is None else self.fx.values
 
 
 # MSE-optimal mid-rise unit steps for 1..8 bits: the minimizers over (1e-3, 4)
@@ -100,10 +118,10 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
     unless ``beamspace``.  The noise is circularly-symmetric complex Gaussian
     with per-entry variance N0: one standard_normal draw of both rails (the
     real rail's block first), scaled and added in place onto H s.  With an
-    ADC, antenna values are step-normalized mid-rise levels in the (7, 1)
-    format and beamspace values are the exact unitary DFT of those,
-    re-quantized to the (9, 1) format with saturation.  With adc=None both
-    are exact floating-point samples in physical units.
+    ADC, both hold the codes that are made here: in the (7, 1) format those
+    of the step-normalized mid-rise levels, and in the (9, 1) format those
+    of the exact unitary DFT of the levels, re-quantized with saturation.
+    With adc=None both are exact floating-point samples in physical units.
     """
     z = np.asarray(H @ s, dtype=complex)
     noise = rng.standard_normal((2,) + z.shape)
@@ -116,11 +134,10 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
                 ReceiveVector("beamspace", dft_unitary(z), None) if beamspace else None)
     ybar = quantize_adc(z, adc.step, adc.bits)
     del z
-    if not beamspace:
-        return ReceiveVector("antenna", ybar, ANTENNA_Y_FMT), None
-    yb = FxComplexArray.quantize(dft_unitary(ybar), BEAMSPACE_Y_FMT)
-    return (ReceiveVector("antenna", ybar, ANTENNA_Y_FMT),
-            ReceiveVector("beamspace", yb.values, BEAMSPACE_Y_FMT))
+    yb = FxComplexArray.quantize(dft_unitary(ybar), BEAMSPACE_Y_FMT) if beamspace else None
+    ybar *= 2.0 ** ANTENNA_Y_FMT.frac   # the levels' codes, in place
+    return (ReceiveVector("antenna", FxComplexArray(ybar, ANTENNA_Y_FMT), ANTENNA_Y_FMT),
+            ReceiveVector("beamspace", yb, BEAMSPACE_Y_FMT) if beamspace else None)
 
 
 @lru_cache(maxsize=16)

@@ -246,17 +246,15 @@ def _build_filters(cfgs: tuple, blocks: list) -> None:
                 block[domain, omp, K] = eq[n]
 
 
-def _sim_block(cfg: SimConfig, snr_db: float, block_index: int,
-               shared: dict | None = None) -> BlockResult:
-    """One coherence block of one config.
+def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
+    """One coherence block of one config of a group.
 
-    ``shared`` is the block's state common to the configs of a group, with
-    its filters built (``_sim_chunk``): the first config draws the bits and
-    data noise from the block's Generator and receives the data, and the
-    others reuse them.  Alone, a config runs a chunk of this one block.
+    ``shared`` is the block's state common to the configs of the group,
+    with its filters built (``_sim_chunk``): the first config draws the bits
+    and data noise from the block's Generator and receives the data, and
+    the others reuse them.  A config alone runs a chunk of one block:
+    ``_sim_chunk((cfg,), snr_db, [block_index])[0]``.
     """
-    if shared is None:
-        return _sim_chunk((cfg,), snr_db, [block_index])[0]
     if "rx" not in shared:
         rng = shared["rng"]
         U = shared["H"].shape[1]
@@ -298,22 +296,18 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     config's ``_sim_block``, of which the first draws the bits and data
     noise from that same Generator, so each block's stream keeps its order.
     The chunk holds its blocks' CSI and filters; a block's data is dropped
-    before the next block's is drawn.
+    before the next block's is drawn.  One block of a group is the chunk
+    ``[block_index]``: its results equal those of that block in any chunk.
     """
     cfg = cfgs[0]
     beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
     blocks = [_front_end(cfg, snr_db, i, beamspace) for i in indices]
     _build_filters(cfgs, blocks)
     results = []
-    for i, shared in zip(indices, blocks):
-        results += [_sim_block(c, snr_db, i, shared) for c in cfgs]
+    for shared in blocks:
+        results += [_sim_block(c, shared) for c in cfgs]
         shared.clear()                  # the block's data goes before the next is drawn
     return results
-
-
-def _sim_group(cfgs: tuple, snr_db: float, block_index: int) -> list[BlockResult]:
-    """One block of each config of a group: a chunk of one block."""
-    return _sim_chunk(cfgs, snr_db, [block_index])
 
 
 # Per thread: the public call in progress (``open``), its process pool
@@ -511,7 +505,7 @@ def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[P
     match them.  Candidates whose target BER is unreachable are dropped.
 
     The candidates' bisections first run in lockstep, so that blocks at one
-    SNR are simulated once for all of them (``_sim_group``).  Then each
+    SNR are simulated once for all of them (``_sim_chunk``).  Then each
     candidate's search runs again, one after another, from the memo: the
     BER points and the order of the run_ber_point calls are those of
     separate searches.

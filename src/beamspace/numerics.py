@@ -6,7 +6,10 @@ c is c * 2**-F.  Conversion rounds to nearest with ties away from zero and
 saturates to the format extremes instead of wrapping.  One rounding rule
 (``_scaled_round``) serves ``round_ties_away``, ``to_fixed`` and
 ``FxComplexArray.quantize``; the last runs it as one in-place float pass,
-with no integer round trip.
+with no integer round trip.  It is the only rule in the package that rounds
+values to codes: the filter, beamspace-data and estimate codes are made
+once, by ``FxComplexArray.quantize`` (the antenna-data codes by the ADC's
+mid-rise quantizer), and the kernels read them as they are.
 """
 
 from __future__ import annotations
@@ -44,14 +47,6 @@ class FixedFormat:
     @property
     def max_code(self) -> int:
         return (1 << (self.width - 1)) - 1
-
-    @property
-    def min_value(self) -> float:
-        return self.min_code * self.lsb
-
-    @property
-    def max_value(self) -> float:
-        return self.max_code * self.lsb
 
 
 # Formats from the equalizer fixed-point parameter table.

@@ -52,7 +52,7 @@ class ActivityReport:
 def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
     if eq.fx is None:
         raise ValueError("equalizer has no fixed-point view; call quantize_filter first")
-    if y.fmt is None:
+    if y.fx is None:
         raise ValueError("received vector is not quantized")
     if eq.domain != y.domain:
         raise ValueError(f"domain mismatch: filter {eq.domain!r} vs data {y.domain!r}")
@@ -90,8 +90,7 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
     W = eq.fx.codes
     U, B = W.shape
     check_float64_exact(B, eq.fx.fmt, y.fmt)
-    Y = np.rint(np.ascontiguousarray(y.values, dtype=complex).view(float)
-                * 2.0 ** y.fmt.frac).view(complex).reshape(B, -1)
+    Y = y.fx.codes.reshape(B, -1)
     # Thresholds in code units, matching the operand codes.
     tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
     ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
@@ -102,7 +101,7 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
         Y_lo, n_y = _below(Y, ty, scheme != "cspade", 0)
         acc -= W_lo @ Y_lo
         skipped = int(n_w @ n_y)
-    est = _requantize(acc.reshape((U,) + np.shape(y.values)[1:]), eq, y, out_fmt)
+    est = _requantize(acc.reshape((U,) + y.fx.codes.shape[1:]), eq, y, out_fmt)
     return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size)
 
 
@@ -136,9 +135,8 @@ def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
     _check_operands(eq, y)
     wr = eq.fx.codes_re.astype(np.int64)
     wi = eq.fx.codes_im.astype(np.int64)
-    vals = np.asarray(y.values)
-    yr = np.round(vals.real * 2.0 ** y.fmt.frac).astype(np.int64)
-    yi = np.round(vals.imag * 2.0 ** y.fmt.frac).astype(np.int64)
+    yr = y.fx.codes_re.astype(np.int64)
+    yi = y.fx.codes_im.astype(np.int64)
     tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
     ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
     batched = yr.ndim == 2

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from beamspace.channel import (ChannelMatrix, PathSet, ScenarioConfig,
-                               apply_power_control, draw_scenario,
-                               dump_channel_csv, load_channel_csv,
-                               steering_vector, synth_ue_channel, _draw_angles)
+from beamspace.channel import (ScenarioConfig, _basis, _draw_angles, apply_power_control,
+                               draw_scenario, dump_channel_csv)
 from beamspace.frontend import dft_unitary
+
+
+def steering_vector(phi, num_antennas):
+    """The ULA response of one path: its column of the steering basis."""
+    return _basis(np.array([phi]), num_antennas)[:, 0]
 
 
 def test_steering_boresight():
@@ -30,22 +33,23 @@ def test_steering_norm_is_num_antennas():
         assert abs(np.linalg.norm(a) ** 2 - B) < 1e-9
 
 
+# A UE's channel superposes its paths, h = sum_l alpha_l a(phi_l): draw_scenario
+# computes it as _basis(freqs, B) @ gains.
+
 def test_single_boresight_path():
-    p = PathSet(np.array([1.0 + 0j]), np.array([0.0]))
-    assert np.allclose(synth_ue_channel(p, 5), np.ones(5))
+    assert np.allclose(_basis(np.array([0.0]), 5) @ np.array([1.0 + 0j]), np.ones(5))
 
 
 def test_destructive_superposition():
-    p = PathSet(np.array([1.0, -1.0]), np.array([0.0, 0.0]))
-    assert np.allclose(synth_ue_channel(p, 6), 0.0)
+    assert np.allclose(_basis(np.array([0.0, 0.0]), 6) @ np.array([1.0, -1.0]), 0.0)
 
 
 def test_matches_per_path_accumulation_oracle():
     rng = np.random.default_rng(3)
     gains = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     freqs = rng.uniform(-np.pi, np.pi, 2)
-    h = synth_ue_channel(PathSet(gains, freqs), 16)
-    ref = sum(g * steering_vector(f, 16) for g, f in zip(gains, freqs))
+    h = _basis(freqs, 16) @ gains
+    ref = sum(g * np.exp(1j * f * np.arange(16)) for g, f in zip(gains, freqs))
     assert np.allclose(h, ref, atol=1e-12)
 
 
@@ -156,9 +160,11 @@ def test_channel_csv_roundtrip(tmp_path):
                          np.random.default_rng(9))
     path = tmp_path / "chan.csv"
     dump_channel_csv(scen.H, path)
-    loaded = load_channel_csv(path)
-    assert isinstance(loaded, ChannelMatrix)
-    assert np.array_equal(loaded.H, scen.H)
+    assert path.read_text().splitlines()[0] == "b,u,re,im"
+    b, u, re, im = np.loadtxt(path, delimiter=",", skiprows=1).T   # one row per entry
+    H = np.zeros_like(scen.H)
+    H[b.astype(int), u.astype(int)] = re + 1j * im
+    assert len(b) == H.size and np.array_equal(H, scen.H)
 
 
 def _frozen_draw_scenario(cfg, rng):
@@ -199,15 +205,12 @@ def _frozen_draw_scenario(cfg, rng):
 @pytest.mark.parametrize("los", [True, False])
 @pytest.mark.parametrize("num_ues", [1, 8, 16])
 def test_draw_scenario_matches_frozen_copy(los, num_ues):
-    # H, angles and paths byte for byte, and the rng state after the draw.
+    # H and angles byte for byte, and the rng state after the draw.
     cfg = ScenarioConfig(num_antennas=64, num_ues=num_ues, los=los)
     for seed in range(40):
         r_new, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         scen = draw_scenario(cfg, r_new)
-        H, angles, paths = _frozen_draw_scenario(cfg, r_ref)
+        H, angles, _ = _frozen_draw_scenario(cfg, r_ref)
         assert scen.H.tobytes() == H.tobytes()
         assert scen.angles_deg.tobytes() == angles.tobytes()
-        for got, (gains, freqs) in zip(scen.paths, paths, strict=True):
-            assert got.gains.tobytes() == gains.tobytes()
-            assert got.spatial_freqs.tobytes() == freqs.tobytes()
         assert r_new.bit_generator.state == r_ref.bit_generator.state

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import beamspace.harness as harness
-from beamspace.channel import ScenarioConfig, load_channel_csv
+from beamspace.channel import ScenarioConfig
 from beamspace.cli import _CONFIG_KEYS, build_sim_config, main, read_config_file
 from beamspace.numerics import DecompositionError
 
@@ -342,6 +342,17 @@ def test_power_rejects_degenerate_architecture(flags, name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_power_custom_arch_needs_mute_fraction(tmp_path, capsys):
+    out = tmp_path / "power.csv"
+    rc = main(["power", "--alpha", "0.2", "--arch", "custom", "--out", str(out)])
+    assert "--mute-fraction" in _one_error_line(rc, capsys)
+    assert not out.exists()
+    rc = main(["power", "--alpha", "0.2", "--arch", "custom", "--mute-fraction", "0.5",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1].startswith("custom,0.2,0.5,")
+
+
 def test_power_report_all_archs(tmp_path):
     out = tmp_path / "power_all.csv"
     assert main(["power", "--alpha", "0.45", "--out", str(out)]) == 0
@@ -355,9 +366,9 @@ def test_gen_channels(tmp_path):
     assert rc == 0
     files = sorted(outdir.iterdir())
     assert len(files) == 3
-    H = load_channel_csv(files[0]).H
-    assert H.shape == (16, 2)
-    assert np.all(np.isfinite(H))
+    b, u, re, im = np.loadtxt(files[0], delimiter=",", skiprows=1).T
+    assert (b.max() + 1, u.max() + 1, len(b)) == (16, 2, 32)
+    assert np.all(np.isfinite(re + 1j * im))
 
 
 def test_config_keys_cover_every_dataclass_field():

@@ -11,10 +11,10 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
 from beamspace.channel import ScenarioConfig, draw_scenario
-from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
-                                optimal_unit_step, perfect_csi, quantize_adc,
-                                receive, unified_step)
-from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, to_fixed
+from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
+                                ls_estimate, optimal_unit_step, perfect_csi,
+                                quantize_adc, receive, unified_step)
+from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FxComplexArray, to_fixed
 
 # Recorded from this implementation at build time; guards against drift.
 LS_REL_ERR_GOLDEN = 0.07688070016788927
@@ -287,8 +287,24 @@ def _frozen_receive(H, s, N0, adc, rng):
     return ybar, (re + 1j * im) * BEAMSPACE_Y_FMT.lsb
 
 
+def test_receive_vector_takes_values_only_on_its_grid():
+    fmt = BEAMSPACE_Y_FMT                   # codes -256..255, lsb 1/2
+    edge = np.array([-128.0 + 127.5j, 0.5 - 0.0j])     # min_code, max_code; -0.0
+    y = ReceiveVector("beamspace", edge, fmt)
+    assert np.array_equal(y.fx.codes, [-256 + 255j, 1 + 0j]) and y.fx.fmt == fmt
+    assert y.values.tobytes() == edge.tobytes() and y.fmt == fmt
+    for bad in (0.25, 0.75j, 128.0, -128.5, 1j * 128.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ReceiveVector("beamspace", np.array([0.5, bad]), fmt)
+    with pytest.raises(ValueError):
+        ReceiveVector("beamspace", FxComplexArray(np.ones(2), ANTENNA_Y_FMT), fmt)
+    raw = np.array([0.3 + 0.1j])
+    y = ReceiveVector("antenna", raw, None)
+    assert y.fx is None and y.fmt is None and y.values is raw
+
+
 def test_receive_matches_frozen_copy():
-    # 1-8 bit ADCs and no ADC; batched and 1-D; values and the rng state after.
+    # 1-8 bit ADCs and no ADC; batched and 1-D; values, codes and the rng state after.
     rng = np.random.default_rng(9)
     for i in range(180):
         bits = i % 9
@@ -304,6 +320,14 @@ def test_receive_matches_frozen_copy():
         for g, r in zip(got, ref):
             assert g.values.shape == r.shape and g.values.dtype == r.dtype
             assert g.values.tobytes() == r.tobytes(), i
+        if adc is None:
+            assert got[0].fx is got[1].fx is None
+        else:
+            # the codes as made: 2 ybar in (7, 1), and to_fixed's (9, 1) rails
+            assert np.array_equal(got[0].fx.codes, 2 * ref[0]) and got[0].fmt == ANTENNA_Y_FMT
+            assert np.array_equal(got[1].fx.codes_re, to_fixed(ref[1].real, BEAMSPACE_Y_FMT)[0])
+            assert np.array_equal(got[1].fx.codes_im, to_fixed(ref[1].imag, BEAMSPACE_Y_FMT)[0])
+            assert got[1].fmt == BEAMSPACE_Y_FMT
         assert r_new.bit_generator.state == r_ref.bit_generator.state
         # antenna only: the same antenna bytes and the same stream consumed
         r_ant = np.random.default_rng([i, 1])

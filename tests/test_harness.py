@@ -301,7 +301,7 @@ def test_bench_tracer_sees_every_detector_stage(alg):
     # captured in DETECTORS.
     tracing = _bench_tracing()
     with tracing.Tracer(stages=True) as tracer:
-        harness._sim_block(_cfg(algorithm=alg, **PARAMS), 6.0, 0)
+        harness._sim_chunk((_cfg(algorithm=alg, **PARAMS),), 6.0, [0])
     names = {span[0] for span in tracer.spans}
     assert {"equalize.filter", "spade.mvm"} <= names
 
@@ -342,9 +342,9 @@ def test_sim_group_equals_solo_blocks(los, csi_mode, arithmetic, adc_bits):
               by_alg["eomp"], by_alg["comp"][::-1], by_alg["cspade"] + by_alg["eomp"][:1]]
     for snr_db in (-2.0, 6.0, 14.0):
         for i in (0, 3):
-            solo = {id(c): harness._sim_block(c, snr_db, i) for c in full}
+            solo = {id(c): harness._sim_chunk((c,), snr_db, [i])[0] for c in full}
             for group in groups:
-                assert harness._sim_group(tuple(group), snr_db, i) == [
+                assert harness._sim_chunk(tuple(group), snr_db, [i]) == [
                     solo[id(c)] for c in group], (snr_db, i, [c.algorithm for c in group])
 
 
@@ -364,8 +364,8 @@ def test_front_end_builds_beamspace_only_for_beamspace_detectors(csi_mode, monke
     for algs, beamspace in ((["almmse"], False), (["almmse", "blmmse"], True),
                             (["blmmse", "almmse"], True), (["spade"], True)):
         calls.clear()
-        harness._sim_group(tuple(dataclasses.replace(base, algorithm=a, **PARAMS)
-                                 for a in algs), 6.0, 0)
+        harness._sim_chunk(tuple(dataclasses.replace(base, algorithm=a, **PARAMS)
+                                 for a in algs), 6.0, [0])
         assert calls == [beamspace] * receives, algs
 
 
@@ -466,7 +466,7 @@ def test_sim_chunk_equals_sim_group_blocks(los, csi_mode, arithmetic, adc_bits):
     groups = [full, [c for c in full if c.algorithm in ("almmse", "comp", "spade")][::-1]]
     indices = list(range(5, 13))
     for group in map(tuple, groups):
-        blocks = [res for i in indices for res in harness._sim_group(group, 6.0, i)]
+        blocks = [res for i in indices for res in harness._sim_chunk(group, 6.0, [i])]
         for size in (1, 3, 8):
             chunked = [res for j in range(0, len(indices), size)
                        for res in harness._sim_chunk(group, 6.0, indices[j:j + size])]

@@ -245,7 +245,7 @@ def _mask_count(eq, y, thr, scheme):
     """Executed real products counted on explicit (U, B, T) keep masks."""
     tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
     ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
-    yc = np.reshape(y.values, (eq.num_beams, -1)) * 2.0 ** y.fmt.frac
+    yc = np.reshape(y.fx.codes, (eq.W.shape[-1], -1))
     kw = [np.abs(eq.fx.codes_re)[:, :, None] >= tw, np.abs(eq.fx.codes_im)[:, :, None] >= tw]
     ky = [np.abs(yc.real)[None] >= ty, np.abs(yc.imag)[None] >= ty]
     if scheme == "cspade":

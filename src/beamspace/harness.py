@@ -16,10 +16,12 @@ if a detector of the group reads it), builds each distinct filter once
 (one LMMSE filter per domain; one greedy OMP run per support rule up to
 the group's largest K, whose supports are nested, so the filter at each
 smaller K is the one a run to that K gives), and only then runs each
-config's kernel and demap.  A round's blocks run in contiguous chunks:
-each filter is built and quantized in one stacked call over a chunk,
-whose filters equal those of its blocks alone byte for byte.  A chunk
-holds its blocks' CSI and filters; the data is held one block at a time.
+config's kernel and demap.  A round's blocks run in contiguous chunks of
+at most _CHUNK_BLOCKS: each filter is built and quantized in one stacked
+call over a chunk, whose filters equal those of its blocks alone byte for
+byte.  A chunk holds its blocks' CSI and filters; the data is held one
+block at a time.  A pooled round is one task per worker, each a
+contiguous share of the round's blocks that the worker runs as chunks.
 A Pareto sweep's bisections run in lockstep, so that the candidates
 probing one SNR form a group; every BER point is still the one its
 config gets alone.
@@ -33,7 +35,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, is_dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -142,6 +143,14 @@ class SimConfig:
             raise ConfigError("coherence_len must be >= 1")
         if self.adc_bits is not None and not 1 <= self.adc_bits <= 8:
             raise ConfigError("adc_bits must be in 1..8")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        lo, hi = self.min_bits_per_point, self.max_bits_per_point
+        if lo < 1:
+            raise ConfigError(f"min_bits_per_point must be >= 1, got {lo}")
+        if hi is not None and hi < lo:
+            raise ConfigError(f"max_bits_per_point ({hi}) must not be below"
+                              f" min_bits_per_point ({lo})")
 
 
 @dataclass
@@ -342,30 +351,48 @@ def _pool_scope():
 # divides its per-call overhead by N: on 2 cores with one BLAS thread, an
 # entrywise OMP run to K = 16 and 32 took 1550 us per block alone, 770 at
 # N = 8 and 725 at N = 16, while a chunk's CSI and filters (tens of KiB
-# per 64 x 8 block) grow with N.
+# per 64 x 8 block) grow with N.  A pool task runs its share of a round
+# as chunks of at most this size, so the bound holds in every worker.
 _CHUNK_BLOCKS = 8
+
+
+def _split(indices: list, count: int) -> list[list]:
+    """``indices`` cut into ``count`` contiguous parts of near-equal size."""
+    n = len(indices)
+    return [indices[n * j // count:n * (j + 1) // count] for j in range(count)]
+
+
+def _sim_share(cfgs: tuple, snr_db: float, indices: list) -> list[BlockResult]:
+    """Blocks ``indices`` of a group, run as the fewest chunks of near-equal
+    size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``)."""
+    chunks = _split(indices, -(-len(indices) // _CHUNK_BLOCKS))
+    return [res for chunk in chunks for res in _sim_chunk(cfgs, snr_db, chunk)]
 
 
 @_pool_scope()
 def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     """Blocks ``indices`` of a group of configs: one BlockResult per config
-    and block, block by block in the group's order.  The blocks are cut into
-    contiguous chunks of near-equal size, at most _CHUNK_BLOCKS, as many as
-    a multiple of the worker count; each chunk is one serial step or pool
-    task (``_sim_chunk``)."""
+    and block, block by block in the group's order.
+
+    With ``workers`` above 1 and more than one block, the round is cut into
+    one contiguous share of near-equal size per worker, ``min(n, workers)``
+    pool tasks, and each task runs its share as chunks of at most
+    _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the round is one share,
+    run in this process.  Before the first pool of the process forks, the
+    numpy submodules that the block pipeline loads lazily are imported
+    here, so that no worker imports them again.
+    """
     indices = list(indices)
-    workers = max(1, cfgs[0].workers)
-    n = len(indices)
-    count = min(n, workers * -(-n // (workers * _CHUNK_BLOCKS))) or 1
-    chunks = [indices[n * j // count:n * (j + 1) // count] for j in range(count)]
-    fn = partial(_sim_chunk, cfgs, snr_db)
-    if workers <= 1 or len(chunks) <= 1:
-        results = map(fn, chunks)
-    else:
-        if _scope.pool is None:
-            _scope.pool = ProcessPoolExecutor(max_workers=workers)
-        results = _scope.pool.map(fn, chunks)
-    return [res for chunk in results for res in chunk]
+    tasks = min(len(indices), cfgs[0].workers)
+    if tasks <= 1:
+        return _sim_share(cfgs, snr_db, indices)
+    if _scope.pool is None:
+        import numpy.fft                # once per process: every fork inherits both
+        import numpy.random
+        _scope.pool = ProcessPoolExecutor(max_workers=cfgs[0].workers)
+    futures = [_scope.pool.submit(_sim_share, cfgs, snr_db, share)
+               for share in _split(indices, tasks)]
+    return [res for future in futures for res in future.result()]
 
 
 def _ber_points(cfgs, snr_db: float) -> list[BerPoint]:

@@ -244,10 +244,23 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "-3"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "0"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--bins", "0"], "bins"),
+    (["ber", "--snr-grid-db", "0", "--workers", "0"], "workers"),
+    (["ber", "--snr-grid-db", "0", "--workers", "-3"], "workers"),
+    (["ber", "--snr-grid-db", "0", "--min-bits-per-point", "0"], "min_bits_per_point"),
+    (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "19999"], "max_bits_per_point"),
+    (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "0"], "max_bits_per_point"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])
     assert name in _one_error_line(rc, capsys)
+
+
+def test_max_bits_may_equal_min_bits(tmp_path):
+    out = tmp_path / "ber.csv"
+    rc = main(["ber", *COMMON, "--max-bits-per-point", "20000", "--snr-grid-db", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == "20480"
 
 
 def test_bad_value_names_the_key(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import multiprocessing
+import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -497,3 +499,95 @@ def test_map_blocks_identical_at_one_two_and_four_workers():
         pooled = tuple(dataclasses.replace(c, workers=workers) for c in group)
         assert harness._map_blocks(pooled, 6.0, range(3, 23)) == serial
     assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch):
+    """Records the block indices of each task submitted to a harness pool,
+    and the worker count of each pool built."""
+    seen = {"tasks": [], "workers": []}
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *, max_workers):
+            seen["workers"].append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, /, *args, **kwargs):
+            seen["tasks"].append(list(args[-1]))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return seen
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("n", [1, 3, 25, 40])
+def test_pooled_round_is_one_task_per_worker(pool_tasks, n, workers):
+    cfg = _cfg(algorithm="almmse", coherence_len=8)
+    indices = list(range(5, 5 + n))
+    serial = harness._map_blocks((cfg,), 6.0, indices)
+    pooled = harness._map_blocks((dataclasses.replace(cfg, workers=workers),), 6.0, indices)
+    assert pooled == serial
+    tasks = pool_tasks["tasks"]
+    if n == 1:
+        # one task, run in the calling process: no pool is built
+        assert tasks == [] and pool_tasks["workers"] == []
+    else:
+        assert len(tasks) == min(n, workers)
+        assert pool_tasks["workers"] == [workers]
+        assert [i for task in tasks for i in task] == indices
+        assert max(map(len, tasks)) - min(map(len, tasks)) <= 1
+    assert multiprocessing.active_children() == []
+
+
+WARM_PROBE = '''
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+LAZY = ("numpy.random", "numpy.fft")
+
+
+def warm(fn, *args):
+    """Runs a harness task, failing unless the worker holds LAZY as it starts."""
+    missing = [name for name in LAZY if name not in sys.modules]
+    if missing:
+        raise RuntimeError(f"a task started in a worker without {missing}")
+    return fn(*args)
+
+
+class ForkPool(ProcessPoolExecutor):
+    def __init__(self, *, max_workers):
+        super().__init__(max_workers=max_workers,
+                         mp_context=multiprocessing.get_context("fork"))
+
+    def submit(self, fn, /, *args):
+        return super().submit(warm, fn, *args)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, sys.argv[1])
+    import beamspace.harness as harness
+    from beamspace.channel import ScenarioConfig
+
+    assert not any(name in sys.modules for name in LAZY), "loaded at import"
+    harness.ProcessPoolExecutor = ForkPool
+    cfg = harness.SimConfig(scenario=ScenarioConfig(num_antennas=16, num_ues=2),
+                            coherence_len=8, workers=2)
+    print(len(harness._map_blocks((cfg,), 6.0, range(6))))
+'''
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the fork start method is not available")
+def test_forked_workers_start_with_numpy_random_loaded(tmp_path):
+    # A fresh interpreter, because this one has long loaded numpy.random: the
+    # package loads neither lazy submodule at import, and the first pool of
+    # the process loads both before its workers fork.
+    src = Path(harness.__file__).resolve().parents[1]
+    script = tmp_path / "warm_probe.py"
+    script.write_text(WARM_PROBE)
+    out = subprocess.run([sys.executable, str(script), str(src)], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["6"]

@@ -9,7 +9,6 @@ UE column into a +/- power_ctrl_db window around ||h||^2 = B.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -129,6 +128,7 @@ def draw_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelMatri
 
 def dump_channel_csv(H: np.ndarray, path) -> None:
     """Write an antenna-domain channel as CSV rows ``b,u,re,im``."""
+    import csv                          # only here: ``import beamspace`` skips it
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["b", "u", "re", "im"])

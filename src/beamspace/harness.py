@@ -22,6 +22,9 @@ call over a chunk, whose filters equal those of its blocks alone byte for
 byte.  A chunk holds its blocks' CSI and filters; the data is held one
 block at a time.  A pooled round is one task per worker, each a
 contiguous share of the round's blocks that the worker runs as chunks.
+The standard library's process pool (with ``multiprocessing``) is
+imported only when a process builds its first pool, so a process that
+never pools, as at the default ``workers=1``, never loads it.
 A Pareto sweep's bisections run in lockstep, so that the candidates
 probing one SNR form a group; every BER point is still the one its
 config gets alone.
@@ -32,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, is_dataclass, replace
 
@@ -131,8 +133,9 @@ class SimConfig:
             raise ConfigError(f"{self.algorithm} requires {' and '.join(params)}")
         if "delta" in params and not 0.0 < self.delta <= 1.0:
             raise ConfigError(f"{self.algorithm} requires delta in (0, 1]")
-        if "tau_w" in params and min(self.tau_w, self.tau_y) < 0:
-            raise ConfigError("thresholds must be nonnegative")
+        if "tau_w" in params and not (self.tau_w >= 0 and self.tau_y >= 0):  # NaN too
+            raise ConfigError("thresholds must be nonnegative, got"
+                              f" tau_w = {self.tau_w}, tau_y = {self.tau_y}")
         if self.arithmetic not in ("float", "fixed"):
             raise ConfigError(f"unknown arithmetic {self.arithmetic!r}")
         if self.arithmetic == "fixed" and self.adc_bits is None:
@@ -145,6 +148,9 @@ class SimConfig:
             raise ConfigError("adc_bits must be in 1..8")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.min_errors_per_point < 0:
+            raise ConfigError("min_errors_per_point must be >= 0,"
+                              f" got {self.min_errors_per_point}")
         lo, hi = self.min_bits_per_point, self.max_bits_per_point
         if lo < 1:
             raise ConfigError(f"min_bits_per_point must be >= 1, got {lo}")
@@ -326,6 +332,14 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
 _scope = threading.local()
 
 
+def ProcessPoolExecutor(*, max_workers: int):
+    """The standard library's process pool of ``max_workers`` processes,
+    imported on the first call.  A module attribute that _map_blocks calls
+    by name, so that callers can rebind it to a pool class of their own."""
+    import concurrent.futures
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
+
+
 @contextmanager
 def _pool_scope():
     """Share one process pool and one BER-point memo within a public call.
@@ -379,16 +393,17 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     pool tasks, and each task runs its share as chunks of at most
     _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the round is one share,
     run in this process.  Before the first pool of the process forks, the
-    numpy submodules that the block pipeline loads lazily are imported
-    here, so that no worker imports them again.
+    pool machinery (``ProcessPoolExecutor``) and the numpy submodules that
+    the block pipeline loads lazily are imported here, so that no worker
+    imports them again and a process that never pools loads none of them.
     """
     indices = list(indices)
     tasks = min(len(indices), cfgs[0].workers)
     if tasks <= 1:
         return _sim_share(cfgs, snr_db, indices)
     if _scope.pool is None:
-        import numpy.fft                # once per process: every fork inherits both
-        import numpy.random
+        import numpy.fft                # once per process: every fork inherits
+        import numpy.random             # these and the pool's own imports
         _scope.pool = ProcessPoolExecutor(max_workers=cfgs[0].workers)
     futures = [_scope.pool.submit(_sim_share, cfgs, snr_db, share)
                for share in _split(indices, tasks)]

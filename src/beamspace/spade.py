@@ -31,7 +31,7 @@ class ThresholdPair:
     tau_y: float
 
     def __post_init__(self):
-        if self.tau_w < 0 or self.tau_y < 0:
+        if not (self.tau_w >= 0 and self.tau_y >= 0):     # also false for NaN
             raise ValueError("thresholds must be nonnegative")
 
 

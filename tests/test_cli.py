@@ -249,10 +249,30 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["ber", "--snr-grid-db", "0", "--min-bits-per-point", "0"], "min_bits_per_point"),
     (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "19999"], "max_bits_per_point"),
     (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "0"], "max_bits_per_point"),
+    (["ber", "--snr-grid-db", "0", "--min-errors-per-point", "-5"], "min_errors_per_point"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])
     assert name in _one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize("flags", [
+    ["ber", "--algorithm", "cspade", "--tau-w", "nan", "--tau-y", "10",
+     "--snr-grid-db", "10"],
+    ["ber", "--algorithm", "spade", "--tau-w", "0.05", "--tau-y", "nan",
+     "--snr-grid-db", "10"],
+    ["pareto", "--algorithm", "cspade", "--tau-w-grid", "0.1,nan", "--tau-y-grid", "6"],
+    ["pareto", "--algorithm", "cspade", "--tau-w-grid", "0.1", "--tau-y-grid", "nan"],
+    ["activity", "--algorithm", "cspade", "--tau-w", "nan", "--tau-y", "6",
+     "--snr-db", "8"],
+], ids=["ber-tau-w", "ber-tau-y", "pareto-tau-w-grid", "pareto-tau-y-grid", "activity"])
+def test_nan_threshold_fails_cleanly(flags, monkeypatch, capsys):
+    def no_block(*args):
+        raise AssertionError("a block was simulated")
+
+    monkeypatch.setattr(harness, "_sim_block", no_block)
+    rc = main([flags[0], *COMMON, *flags[1:]])
+    assert "thresholds must be nonnegative" in _one_error_line(rc, capsys)
 
 
 def test_max_bits_may_equal_min_bits(tmp_path):

@@ -43,11 +43,15 @@ def test_validation_errors():
         _cfg(csi_mode="genie").validate()
     with pytest.raises(ConfigError):
         _cfg(adc_bits=12).validate()
+    _cfg(min_errors_per_point=0).validate()     # the least valid error count
     # every detector: each field it needs missing, or out of range
-    bad_values = {"delta": (0.0, 1.5), "tau_w": (-0.01,), "tau_y": (-1.0,)}
+    bad_values = {"delta": (0.0, 1.5, np.nan), "tau_w": (-0.01, np.nan),
+                  "tau_y": (-1.0, np.nan)}
     for alg, det in harness.DETECTORS.items():
         params = {name: PARAMS[name] for name in det.params}
         _cfg(algorithm=alg, **params).validate()
+        if det.adaptive:
+            _cfg(algorithm=alg, tau_w=np.inf, tau_y=np.inf).validate()
         for name in det.params:
             for bad in (None, *bad_values[name]):
                 with pytest.raises(ConfigError):
@@ -591,3 +595,56 @@ def test_forked_workers_start_with_numpy_random_loaded(tmp_path):
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["6"]
+
+
+FOOTPRINT_PROBE = '''
+import os
+import sys
+from dataclasses import replace
+
+POOLING = ("multiprocessing", "concurrent.futures", "csv")
+FIRST_FORK = ("concurrent.futures.process", "numpy.fft", "numpy.random")
+
+
+def loaded(names, modules):
+    return sorted(m for m in modules if any(m == n or m.startswith(n + ".") for n in names))
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, sys.argv[1])
+    import beamspace
+    from beamspace.channel import ScenarioConfig
+
+    assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
+    cfg = beamspace.SimConfig(scenario=ScenarioConfig(num_antennas=16, num_ues=2),
+                              coherence_len=8, min_bits_per_point=512,
+                              min_errors_per_point=0)
+    serial = beamspace.run_ber_point(cfg, 6.0)
+    assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
+
+    at_fork = []
+    os.register_at_fork(before=lambda: at_fork.append(set(sys.modules)))
+    assert beamspace.run_ber_point(replace(cfg, workers=2), 6.0) == serial
+    assert at_fork, "no worker was forked"
+    missing = [name for name in FIRST_FORK if name not in at_fork[0]]
+    assert not missing, f"the first fork came before {missing} was loaded"
+
+    import multiprocessing
+    assert multiprocessing.active_children() == []
+    print(serial.bits)
+'''
+
+
+@pytest.mark.skipif(multiprocessing.get_all_start_methods()[0] != "fork",
+                    reason="pool workers are not forked by default")
+def test_pool_machinery_loads_at_the_first_fork(tmp_path):
+    # A fresh interpreter, because this one has long loaded the pool modules:
+    # importing the package and a serial BER point load no pool machinery (nor
+    # csv), and a pooled point loads it before its workers fork.
+    src = Path(harness.__file__).resolve().parents[1]
+    script = tmp_path / "footprint_probe.py"
+    script.write_text(FOOTPRINT_PROBE)
+    out = subprocess.run([sys.executable, str(script), str(src)], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["512"]

@@ -189,8 +189,10 @@ def test_skip_error_bound():
 
 
 def test_negative_threshold_rejected():
-    with pytest.raises(ValueError):
-        ThresholdPair(-0.1, 1.0)
+    for tau_w, tau_y in [(-0.1, 1.0), (0.1, -1.0), (np.nan, 1.0), (0.1, np.nan)]:
+        with pytest.raises(ValueError):
+            ThresholdPair(tau_w, tau_y)
+    ThresholdPair(np.inf, np.inf)       # infinity skips every small product
 
 
 def test_activity_report_alpha():

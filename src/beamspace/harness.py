@@ -25,9 +25,10 @@ contiguous share of the round's blocks that the worker runs as chunks.
 The standard library's process pool (with ``multiprocessing``) is
 imported only when a process builds its first pool, so a process that
 never pools, as at the default ``workers=1``, never loads it.
-A Pareto sweep's bisections run in lockstep, so that the candidates
-probing one SNR form a group; every BER point is still the one its
-config gets alone.
+An operating point is found by bisection on a fixed 0.25 dB grid, and
+one loop (``_search``) drives every search: a Pareto sweep's candidates
+advance in lockstep, so that those probing one SNR form a group; every
+BER point is still the one its config gets alone.
 """
 
 from __future__ import annotations
@@ -425,7 +426,7 @@ def _ber_points(cfgs, snr_db: float) -> list[BerPoint]:
     going = {key: cfg for key, cfg in zip(keys, cfgs) if key not in _scope.points}
     cfg = cfgs[0]                           # the budgets are the group's
     bits_per_block = cfg.scenario.num_ues * BITS_PER_SYMBOL * cfg.coherence_len
-    blocks_per_round = max(1, math.ceil(cfg.min_bits_per_point / bits_per_block))
+    blocks_per_round = math.ceil(cfg.min_bits_per_point / bits_per_block)
     max_bits = cfg.max_bits_per_point or 4 * cfg.min_bits_per_point
     sums = {key: (0, 0, 0, 0) for key in going}   # BlockResult fields, summed
     next_index = 0
@@ -466,10 +467,10 @@ def activity_samples(cfg: SimConfig, snr_db: float, num_blocks: int) -> np.ndarr
     return np.array([r.executed_real_mults / r.total_real_mults for r in res])
 
 
-_RESOLUTION_DB = 0.25                       # the operating-point grid of a Pareto sweep
+_RESOLUTION_DB = 0.25                       # the grid of every operating-point search
 
 
-def _bisection(cfg: SimConfig, target_ber: float, resolution_db: float):
+def _bisection(cfg: SimConfig, target_ber: float):
     """The operating-point search as a generator: yields each SNR it probes,
     is sent that SNR's BerPoint, and returns the operating point."""
     if not 0.0 < target_ber < 1.0:     # also false for NaN
@@ -482,11 +483,8 @@ def _bisection(cfg: SimConfig, target_ber: float, resolution_db: float):
         raise UnreachableError(f"BER already at target at the lower extreme {lo} dB")
     if (yield hi).ber > target_ber:
         raise UnreachableError(f"BER above target at the upper extreme {hi} dB")
-    while hi - lo > resolution_db + 1e-9:
-        steps = round((hi - lo) / resolution_db)
-        mid = lo + (steps // 2) * resolution_db
-        if mid <= lo or mid >= hi:
-            break
+    while (steps := round((hi - lo) / _RESOLUTION_DB)) >= 2:
+        mid = lo + (steps // 2) * _RESOLUTION_DB
         if (yield mid).ber <= target_ber:
             hi = mid
         else:
@@ -494,48 +492,45 @@ def _bisection(cfg: SimConfig, target_ber: float, resolution_db: float):
     return hi
 
 
+def _search(cfgs: list, target_ber: float, points) -> list:
+    """Each config's operating point, or the UnreachableError that ended its
+    search; a ConfigError propagates.  The bisections advance together:
+    ``points(group, snr_db)`` gives the BER points of the configs ``group``
+    that probe ``snr_db`` next."""
+    searches = dict(enumerate(_bisection(cfg, target_ber) for cfg in cfgs))
+    results = [None] * len(cfgs)        # what each search is sent next, then its result
+    while searches:
+        requests = {}                       # SNR -> the searches probing it
+        for i, search in list(searches.items()):
+            try:
+                requests.setdefault(search.send(results[i]), []).append(i)
+            except StopIteration as done:
+                results[i] = done.value
+                del searches[i]
+            except UnreachableError as exc:
+                results[i] = exc
+                del searches[i]
+        for snr_db, group in requests.items():
+            for i, point in zip(group, points([cfgs[i] for i in group], snr_db)):
+                results[i] = point
+    return results
+
+
 @_pool_scope()
-def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3,
-                        resolution_db: float = _RESOLUTION_DB) -> float:
-    """Minimum SNR (on a resolution_db grid) reaching the target BER.
+def snr_operating_point(cfg: SimConfig, target_ber: float = 1e-3) -> float:
+    """Minimum SNR reaching the target BER: a point of the 0.25 dB grid that
+    starts at cfg.snr_lo_db, or cfg.snr_hi_db.
 
     Bisection between cfg.snr_lo_db and cfg.snr_hi_db, assuming BER is
-    non-increasing in SNR.  Raises ConfigError unless the target is in
-    (0, 1), the extremes are finite and lo < hi, and UnreachableError if they
-    do not bracket the target.
+    non-increasing in SNR; each probe calls run_ber_point by its module
+    name, so a rebinding sees every one.  Raises ConfigError unless the
+    target is in (0, 1), the extremes are finite and lo < hi, and
+    UnreachableError if they do not bracket the target.
     """
-    search = _bisection(cfg, target_ber, resolution_db)
-    try:
-        snr_db = next(search)
-        while True:
-            snr_db = search.send(run_ber_point(cfg, snr_db))
-    except StopIteration as done:
-        return done.value
-
-
-def _bisect_in_lockstep(cfgs: list, target_ber: float) -> None:
-    """Fill the memo with the BER points of each config's bisection.
-
-    The searches advance together; the requests pending at one SNR run as
-    one group.  A search that ends in UnreachableError just stops here.
-    """
-    searches = [_bisection(cfg, target_ber, _RESOLUTION_DB) for cfg in cfgs]
-    replies = [None] * len(cfgs)            # what each search is sent next
-    while True:
-        requests = {}                       # SNR -> the searches probing it
-        for i, search in enumerate(searches):
-            if search is None:
-                continue
-            try:
-                requests.setdefault(search.send(replies[i]), []).append(i)
-            except (StopIteration, UnreachableError):
-                searches[i] = None
-        if not requests:
-            return
-        for snr_db, group in requests.items():
-            points = _ber_points([cfgs[i] for i in group], snr_db)
-            for i, point in zip(group, points):
-                replies[i] = point
+    op, = _search([cfg], target_ber, lambda group, snr_db: [run_ber_point(cfg, snr_db)])
+    if isinstance(op, UnreachableError):
+        raise op
+    return op
 
 
 @_pool_scope()
@@ -546,11 +541,11 @@ def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[P
     a density, a ThresholdPair, or a tuple.  ConfigError if it does not
     match them.  Candidates whose target BER is unreachable are dropped.
 
-    The candidates' bisections first run in lockstep, so that blocks at one
-    SNR are simulated once for all of them (``_sim_chunk``).  Then each
-    candidate's search runs again, one after another, from the memo: the
-    BER points and the order of the run_ber_point calls are those of
-    separate searches.
+    The candidates' searches first run in lockstep (``_search``), so that
+    blocks at one SNR are simulated once for all of them (``_sim_chunk``).
+    Then each candidate's snr_operating_point runs, one after another,
+    from the memo: the BER points and the order of the run_ber_point calls
+    are those of separate searches.
     """
     params = cfg.detector.params
     values = [astuple(c) if is_dataclass(c) else np.ravel(c) for c in candidates]
@@ -559,7 +554,7 @@ def pareto_sweep(cfg: SimConfig, candidates, target_ber: float = 1e-3) -> list[P
                           " each candidate must give exactly those values")
     tags = [{name: float(x) for name, x in zip(params, v)} for v in values]
     subs = [replace(cfg, **tag) for tag in tags]
-    _bisect_in_lockstep(subs, target_ber)
+    _search(subs, target_ber, _ber_points)
     points = []
     for tag, sub in zip(tags, subs):
         try:

@@ -105,6 +105,8 @@ def test_decomposition_error_fails_cleanly(monkeypatch, capsys):
     (["--los", "false", "--num-paths-nlos", "0"], "num_paths_nlos"),
     (["--power-ctrl-db", "-3"], "power_ctrl_db"),
     (["--min-sep-deg", "-1"], "min_sep_deg"),
+    (["--los", "maybe"], "los"),
+    (["--num-ues", "9", "--num-antennas", "8"], "num_ues"),   # more UEs than antennas
 ])
 def test_out_of_range_scenario_field_fails_cleanly(flags, field, capsys):
     rc = main(["ber", *flags, "--snr-grid-db", "0"])
@@ -250,6 +252,8 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "19999"], "max_bits_per_point"),
     (["ber", "--snr-grid-db", "0", "--max-bits-per-point", "0"], "max_bits_per_point"),
     (["ber", "--snr-grid-db", "0", "--min-errors-per-point", "-5"], "min_errors_per_point"),
+    (["ber", "--snr-grid-db", "0", "--arithmetic", "exact"], "arithmetic"),
+    (["ber", "--snr-grid-db", "0", "--coherence-len", "0"], "coherence_len"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])
@@ -291,6 +295,18 @@ def test_bad_value_names_the_key(tmp_path, capsys):
     rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
     err = _one_error_line(rc, capsys)
     assert f"{cfg}:2:" in err and "min_sep_deg" in err
+    cfg.write_text("seed = 1\nnum_ues 2\n")           # a line without '='
+    rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
+    assert f"{cfg}:2: expected key=value" in _one_error_line(rc, capsys)
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("true", True), ("yes", True), ("1", True), ("False", False), ("no", False),
+    ("0", False),
+])
+def test_boolean_values_parse(raw, value):
+    cfg = build_sim_config(argparse.Namespace(config=None, los=raw), validate=False)
+    assert cfg.scenario.los is value
 
 
 @pytest.mark.parametrize("flags, key", [

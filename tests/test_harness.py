@@ -135,6 +135,26 @@ def test_operating_point_unreachable():
         snr_operating_point(cfg)  # target never reached
 
 
+@pytest.mark.parametrize("lo, hi, thr, op, probes", [
+    (0.0, 0.3, 0.2, 0.3, [0.0, 0.3]),                 # off-grid hi, one step apart
+    (0.1, 0.6, 0.3, 0.35, [0.1, 0.6, 0.35]),
+    (-4.0, 16.1, 16.05, 16.1, [-4.0, 16.1, 6.0, 11.0, 13.5, 14.75, 15.25, 15.5,
+                               15.75]),
+    (-4.0, 16.1, 3.3, 3.5, [-4.0, 16.1, 6.0, 1.0, 3.5, 2.25, 2.75, 3.0, 3.25]),
+])
+def test_operating_point_search_probes(lo, hi, thr, op, probes, monkeypatch):
+    # The search probes a 0.25 dB grid from snr_lo_db; snr_hi_db is an answer too.
+    probed = []
+
+    def step_ber(cfg, snr_db):
+        probed.append(snr_db)
+        return harness.BerPoint(snr_db, 1e-4 if snr_db >= thr else 1e-2, 1, 0, 1.0)
+
+    monkeypatch.setattr(harness, "run_ber_point", step_ber)
+    assert snr_operating_point(SimConfig(snr_lo_db=lo, snr_hi_db=hi)) == pytest.approx(op)
+    assert probed == pytest.approx(probes)
+
+
 def test_pareto_single_candidate():
     cfg = _cfg(algorithm="eomp", snr_lo_db=-5.0, snr_hi_db=25.0)
     pts = pareto_sweep(cfg, [1.0], target_ber=1e-2)

@@ -35,6 +35,10 @@ class ScenarioConfig:
         for name in ("num_antennas", "num_ues", "num_paths_los", "num_paths_nlos"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("sector_deg", "min_sep_deg", "power_ctrl_db", "los_scatter_db",
+                     "decay_db_per_path"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("power_ctrl_db", "min_sep_deg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

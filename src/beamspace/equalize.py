@@ -79,13 +79,20 @@ def omp_filter(H: np.ndarray, rho, K: int | list[int], mode: str,
     picked by the residual-matrix column norm ||R (h_b^r)^H||_2.
     Ties break toward the smallest beam index.
 
-    Both modes work on the U x U Gram G = H_S^H H_S + rho I of a support S
-    instead of the k x k matrix H_S H_S^H + rho I.  By the push-through
-    identity the restricted LS solution is W_S = G^-1 H_S^H and the
-    residual I - W_S H_S is rho G^-1.  Entrywise OMP keeps one Gram per
-    UE and steps all UEs in lockstep: each step adds every UE's new beam
-    h_b^H h_b to its Gram and makes one stacked solve, so a filter costs
-    K solves in either mode.  rho must be positive (G is singular for
+    One greedy loop serves both modes.  It works on the U x U Gram
+    G = H_S^H H_S + rho I of a support S instead of the k x k matrix
+    H_S H_S^H + rho I.  By the push-through identity the restricted LS
+    solution is W_S = G^-1 H_S^H and the residual I - W_S H_S is rho G^-1.
+    The loop keeps a stack of Grams, one per UE (entrywise) or one shared
+    (columnwise).  Each step adds each Gram's new beam h_b^H h_b and makes
+    one stacked solve, so a filter costs K solves in either mode.  From
+    that solve comes one U x B matrix P whose row u is row u of
+    G_u^-1 H^H, G_u being the Gram that serves UE u.  P scores the next
+    beam (|P| per entry, or its column norm over UEs) and, masked to the
+    support, is the filter.  Columnwise W is thus the full product
+    G^-1 H^H masked, which BLAS may round in the last bits differently from
+    a product over the support's columns alone; supports and quantized
+    codes do not depend on that.  rho must be positive (G is singular for
     rho = 0 while |S| < U).
 
     H may also be a stack (N, B, U), with rho a scalar or one value per
@@ -103,55 +110,32 @@ def omp_filter(H: np.ndarray, rho, K: int | list[int], mode: str,
         raise ValueError(f"K must be in 1..{B}, got {K}")
     if not np.all(rho_s > 0):
         raise ValueError(f"rho must be positive, got {rho}")
-    eye = np.eye(U)
-    stack = np.arange(N)
-    built = {}
-
-    if mode == "entrywise":
-        # Column u of X is G_u^-1 e_u, so row u of the residual (G_u is
-        # Hermitian) is rho conj(X[:, u])^T and its correlation with beam b
-        # is rho |H[b] X[:, u]|.  Row u of the filter, on S_u, is
-        # conj(H[S_u] X[:, u])^T.
-        G = np.repeat((rho_s * np.eye(U, dtype=complex))[:, None], U, axis=1)
-        chosen = np.zeros((N, U, B), dtype=bool)
-        rows = np.arange(U)
-        HX = Hs                                # X = I before the first step
-        for k in range(1, max(sizes) + 1):
-            corr = np.abs(HX.swapaxes(-1, -2))  # (N, U, B)
-            corr[chosen] = -1.0
-            b_star = np.argmax(corr, axis=-1)  # first (smallest) index on ties
-            chosen[stack[:, None], rows, b_star] = True
-            h = Hs[stack[:, None], b_star]     # (N, U, U): row u is UE u's new beam
-            G += h.conj()[..., :, None] * h[..., None, :]
-            X = solve_hermitian_pd(G, eye[:, :, None])[..., 0].swapaxes(-1, -2)
-            HX = Hs @ X
-            if k in sizes:
-                built[k] = EqualizerMatrix(
-                    W=np.where(chosen, HX.swapaxes(-1, -2).conj(), 0.0), domain=domain,
-                    support=np.nonzero(chosen)[-1].reshape(N, U, k))
-
-    elif mode == "columnwise":
-        Hh = Hs.conj().swapaxes(-1, -2)
-        G = rho_s * eye
-        chosen = np.zeros((N, B), dtype=bool)
-        Ginv = eye                             # R / rho, with R = I before the first step
-        for k in range(1, max(sizes) + 1):
-            score = np.linalg.norm(Ginv @ Hh, axis=-2)  # ||R (h_b^r)^H||_2 / rho
-            score[chosen] = -1.0
-            b_star = np.argmax(score, axis=-1)
-            chosen[stack, b_star] = True
-            h = Hs[stack, b_star]              # (N, U)
-            G = G + h.conj()[:, :, None] * h[:, None, :]
-            Ginv = solve_hermitian_pd(G, eye)
-            if k in sizes:
-                W = np.zeros((N, U, B), dtype=complex)
-                for n in range(N):
-                    W[n][:, chosen[n]] = Ginv[n] @ Hh[n][:, chosen[n]]
-                built[k] = EqualizerMatrix(W=W, domain=domain,
-                                           support=np.nonzero(chosen)[-1].reshape(N, k))
-
-    else:
+    if mode not in ("entrywise", "columnwise"):
         raise ValueError(f"unknown OMP mode {mode!r}")
+    entrywise = mode == "entrywise"
+    R = U if entrywise else 1
+    G = np.repeat((rho_s * np.eye(U, dtype=complex))[:, None], R, axis=1)
+    chosen = np.zeros((N, R, B), dtype=bool)
+    at = np.arange(N)[:, None], np.arange(R)
+    rhs = np.eye(U).reshape(R, U, U // R)     # e_r for Gram r, or I for the shared one
+    Hh = Hs.conj().swapaxes(-1, -2)
+    P = Hh                                    # the residual rho G^-1 is I before step 1
+    built = {}
+    for k in range(1, max(sizes) + 1):
+        score = np.abs(P) if entrywise else np.linalg.norm(P, axis=-2, keepdims=True)
+        score[chosen] = -1.0
+        b_star = np.argmax(score, axis=-1)    # first (smallest) index on ties
+        chosen[at + (b_star,)] = True
+        h = Hs[at[0], b_star]                 # (N, R, U): row r is Gram r's new beam
+        G += h.conj()[..., :, None] * h[..., None, :]
+        X = solve_hermitian_pd(G, rhs).reshape(N, U, U)
+        # Row u of X is G_u^-1 e_u (its conjugate is row u of G_u^-1) or row
+        # u of the shared G^-1.
+        P = (X.conj() if entrywise else X) @ Hh
+        if k in sizes:
+            built[k] = EqualizerMatrix(
+                W=np.where(chosen, P, 0.0), domain=domain,
+                support=np.nonzero(chosen)[-1].reshape((N, U, k) if entrywise else (N, k)))
     filters = [_unstacked(built[k], H) for k in sizes]
     return filters[0] if np.isscalar(K) else filters
 

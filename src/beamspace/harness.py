@@ -347,8 +347,9 @@ def _pool_scope():
 
     The outermost call opens the scope and nested calls (a sweep's
     bisections, a bisection's BER points) reuse it.  The pool is built on
-    the first parallel round, sized by that round's ``workers``; pool and
-    memo end when the outermost call exits, by return or by exception.
+    the first parallel round, with one process per task of that round (every
+    round of a call has as many blocks); pool and memo end when the
+    outermost call exits, by return or by exception.
     """
     if getattr(_scope, "open", False):
         yield
@@ -391,9 +392,9 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
 
     With ``workers`` above 1 and more than one block, the round is cut into
     one contiguous share of near-equal size per worker, ``min(n, workers)``
-    pool tasks, and each task runs its share as chunks of at most
-    _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the round is one share,
-    run in this process.  Before the first pool of the process forks, the
+    tasks for a pool of as many processes, and each task runs its share as
+    chunks of at most _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the
+    round is one share, run in this process.  Before the first pool of the process forks, the
     pool machinery (``ProcessPoolExecutor``) and the numpy submodules that
     the block pipeline loads lazily are imported here, so that no worker
     imports them again and a process that never pools loads none of them.
@@ -405,7 +406,7 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     if _scope.pool is None:
         import numpy.fft                # once per process: every fork inherits
         import numpy.random             # these and the pool's own imports
-        _scope.pool = ProcessPoolExecutor(max_workers=cfgs[0].workers)
+        _scope.pool = ProcessPoolExecutor(max_workers=tasks)
     futures = [_scope.pool.submit(_sim_share, cfgs, snr_db, share)
                for share in _split(indices, tasks)]
     return [res for future in futures for res in future.result()]

@@ -13,7 +13,6 @@ masked_reference is a deliberately independent mask-then-multiply oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +91,8 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
     check_float64_exact(B, eq.fx.fmt, y.fmt)
     Y = y.fx.codes.reshape(B, -1)
     # Thresholds in code units, matching the operand codes.
-    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
-    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
+    tw = _threshold_code(thr.tau_w, eq.fx.fmt)
+    ty = _threshold_code(thr.tau_y, y.fmt)
     acc = W @ Y
     skipped = 0
     if tw > 0 and ty > 0:               # a skip needs both operands below threshold
@@ -112,11 +111,10 @@ def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector,
     return _mvm(eq, y, ThresholdPair(0.0, 0.0), "exact", out_fmt)[0]
 
 
-def _quantize_threshold(tau: float, fmt: FixedFormat) -> float:
-    """Snap a threshold onto the operand format grid (infinity passes through)."""
-    if math.isinf(tau):
-        return tau
-    return float(round_ties_away(tau * 2.0 ** fmt.frac)) * fmt.lsb
+def _threshold_code(tau: float, fmt: FixedFormat) -> float:
+    """A threshold snapped onto the operand format grid, in code units
+    (infinity passes through)."""
+    return float(round_ties_away(tau * 2.0 ** fmt.frac))
 
 
 def adaptive_mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
@@ -137,8 +135,8 @@ def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
     wi = eq.fx.codes_im.astype(np.int64)
     yr = y.fx.codes_re.astype(np.int64)
     yi = y.fx.codes_im.astype(np.int64)
-    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
-    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
+    tw = _threshold_code(thr.tau_w, eq.fx.fmt)
+    ty = _threshold_code(thr.tau_y, y.fmt)
     batched = yr.ndim == 2
     yr2 = yr if batched else yr[:, None]
     yi2 = yi if batched else yi[:, None]

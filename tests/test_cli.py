@@ -107,6 +107,11 @@ def test_decomposition_error_fails_cleanly(monkeypatch, capsys):
     (["--min-sep-deg", "-1"], "min_sep_deg"),
     (["--los", "maybe"], "los"),
     (["--num-ues", "9", "--num-antennas", "8"], "num_ues"),   # more UEs than antennas
+    (["--power-ctrl-db", "inf"], "power_ctrl_db"),
+    (["--sector-deg", "nan"], "sector_deg"),
+    (["--min-sep-deg", "nan"], "min_sep_deg"),
+    (["--los-scatter-db", "nan"], "los_scatter_db"),
+    (["--los", "false", "--decay-db-per-path", "inf"], "decay_db_per_path"),
 ])
 def test_out_of_range_scenario_field_fails_cleanly(flags, field, capsys):
     rc = main(["ber", *flags, "--snr-grid-db", "0"])

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import beamspace.equalize as equalize
 import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig
-from beamspace.harness import (ConfigError, ParetoPoint, SimConfig, UnreachableError,
-                               activity_samples, pareto_sweep, run_ber_curve,
-                               run_ber_point, snr_operating_point)
+from beamspace.harness import (DETECTORS, ConfigError, ParetoPoint, SimConfig,
+                               UnreachableError, activity_samples, pareto_sweep,
+                               run_ber_curve, run_ber_point, snr_operating_point)
 from beamspace.spade import ThresholdPair
 
 SMALL_SCEN = ScenarioConfig(num_antennas=16, num_ues=2)
@@ -499,6 +500,77 @@ def test_sim_chunk_equals_sim_group_blocks(los, csi_mode, arithmetic, adc_bits):
             assert chunked == blocks, (size, [c.algorithm for c in group])
 
 
+# Gray bit pair of each 16-QAM rail level -3, -1, +1, +3 (in units of
+# sqrt(Es / 10)), and the bit errors of deciding level j when i was sent.
+GRAY = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
+BIT_ERRORS = (GRAY[:, None] != GRAY[None, :]).sum(-1)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 6.0])
+@pytest.mark.parametrize("alg", ["almmse", "blmmse", "eomp", "comp"])
+def test_float_chain_matches_exact_error_expectation(alg, snr_db, monkeypatch):
+    # Without an ADC, a float linear detector given the channel H, the
+    # symbols s and its filter W outputs W H s (or W F H s in beamspace)
+    # plus circular Gaussian noise of variance N0 ||w_u||^2 / 2 per rail.
+    # Each rail's bit errors, 0, 1 or 2, then have an exact distribution
+    # from Phi at the demap thresholds 0 and +-2 sqrt(Es / 10), with
+    # N0 = Es 10^(-SNR / 10) taken from the SNR alone.  The simulated count
+    # must pass a z-test against it.  The rails are independent; UEs share
+    # noise through W, so their covariance is bounded by Cauchy-Schwarz,
+    # which overstates the variance and keeps the test conservative.
+    Es = 2.0
+    cfg = _cfg(scenario=ScenarioConfig(num_antennas=16, num_ues=2, los=False),
+               algorithm=alg, delta=0.25, adc_bits=None, arithmetic="float",
+               csi_mode="perfect", Es=Es, min_bits_per_point=400_000,
+               min_errors_per_point=0)
+    sent, filters = [], []
+    receive = harness.receive
+
+    def recorded_receive(H, s, *args):
+        sent.append((H, s))
+        return receive(H, s, *args)
+
+    def recorded(build):
+        def wrapped(*args, **kwargs):
+            out = build(*args, **kwargs)
+            [eq] = out if isinstance(out, list) else [out]
+            filters.extend(eq.W)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(harness, "receive", recorded_receive)
+    for name in ("lmmse_filter", "omp_filter"):
+        monkeypatch.setattr(harness, name, recorded(getattr(harness, name)))
+    point = run_ber_point(cfg, snr_db)
+    assert len(filters) == len(sent) == point.bits // (2 * 4 * cfg.coherence_len)
+
+    N0 = Es * 10.0 ** (-snr_db / 10.0)
+    unit = np.sqrt(Es / 10.0)
+    thresholds = np.array([-2.0, 0.0, 2.0]) * unit
+    expected = variance = 0.0
+    for W, (H, s) in zip(filters, sent):
+        Hd = H if DETECTORS[alg].domain == "antenna" else np.fft.fft(H, axis=0, norm="ortho")
+        if not DETECTORS[alg].omp:              # the LMMSE regularization, too
+            ref = np.linalg.solve(Hd.conj().T @ Hd + N0 / Es * np.eye(H.shape[1]),
+                                  Hd.conj().T)
+            np.testing.assert_allclose(W, ref, rtol=0, atol=1e-12)
+        levels = np.stack([s.real, s.imag], -1) / unit      # (U, T, rail), on the grid
+        sent_level = np.rint((levels + 3.0) / 2.0).astype(int)
+        np.testing.assert_allclose(levels, 2.0 * sent_level - 3.0, rtol=0, atol=1e-12)
+        mean = W @ Hd @ s
+        sigma = np.sqrt(N0 / 2.0 * np.sum(np.abs(W) ** 2, axis=1))
+        cdf = ndtr((thresholds - np.stack([mean.real, mean.imag], -1)[..., None])
+                   / sigma[:, None, None, None])
+        decided = np.diff(cdf, prepend=0.0, append=1.0, axis=-1)  # P(level j)
+        errors = BIT_ERRORS[sent_level]
+        mean_errors = (decided * errors).sum(-1)
+        rail_var = (decided * errors ** 2).sum(-1) - mean_errors ** 2
+        expected += mean_errors.sum()
+        variance += (np.sqrt(rail_var.sum(-1)).sum(0) ** 2).sum()
+    z = (point.errors - expected) / np.sqrt(variance)
+    assert expected > 100 and abs(z) < 4, (point.errors, expected, variance)
+
+
 def test_map_blocks_cuts_rounds_into_chunks(monkeypatch):
     chunks = []
     inner = harness._sim_chunk
@@ -558,7 +630,7 @@ def test_pooled_round_is_one_task_per_worker(pool_tasks, n, workers):
         assert tasks == [] and pool_tasks["workers"] == []
     else:
         assert len(tasks) == min(n, workers)
-        assert pool_tasks["workers"] == [workers]
+        assert pool_tasks["workers"] == [min(n, workers)]
         assert [i for task in tasks for i in task] == indices
         assert max(map(len, tasks)) - min(map(len, tasks)) <= 1
     assert multiprocessing.active_children() == []

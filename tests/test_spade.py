@@ -13,7 +13,7 @@ from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitar
 from beamspace.modem import map_bits
 from beamspace.numerics import (ANTENNA_W_FMT, BEAMSPACE_W_FMT, BEAMSPACE_Y_FMT,
                                 ESTIMATE_FMT, FixedFormat, FxComplexArray)
-from beamspace.spade import (ActivityReport, ThresholdPair, _quantize_threshold,
+from beamspace.spade import (ActivityReport, ThresholdPair, _threshold_code,
                              adaptive_mvm, check_float64_exact, exact_mvm_fixed,
                              masked_reference)
 
@@ -245,8 +245,8 @@ def _harness_block(i, T):
 
 def _mask_count(eq, y, thr, scheme):
     """Executed real products counted on explicit (U, B, T) keep masks."""
-    tw = _quantize_threshold(thr.tau_w, eq.fx.fmt) * 2.0 ** eq.fx.fmt.frac
-    ty = _quantize_threshold(thr.tau_y, y.fmt) * 2.0 ** y.fmt.frac
+    tw = _threshold_code(thr.tau_w, eq.fx.fmt)
+    ty = _threshold_code(thr.tau_y, y.fmt)
     yc = np.reshape(y.fx.codes, (eq.W.shape[-1], -1))
     kw = [np.abs(eq.fx.codes_re)[:, :, None] >= tw, np.abs(eq.fx.codes_im)[:, :, None] >= tw]
     ky = [np.abs(yc.real)[None] >= ty, np.abs(yc.imag)[None] >= ty]

@@ -42,6 +42,8 @@ class ScenarioConfig:
         for name in ("power_ctrl_db", "min_sep_deg"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.sector_deg <= 0:
+            raise ValueError("sector_deg must be positive")
         if self.num_ues > self.num_antennas:
             raise ValueError("num_ues must not exceed num_antennas")
         if self.min_sep_deg * self.num_ues > self.sector_deg:
@@ -78,13 +80,12 @@ def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(az + cfg.min_sep_deg * np.arange(cfg.num_ues))
 
 
-def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.ndarray):
-    """Complex gains and spatial frequencies (U, L) of every UE's paths.
-
+def _draw_paths(cfg: ScenarioConfig, rngs, azimuths_deg: np.ndarray):
+    """Complex gains and spatial frequencies (N, U, L) of every UE's paths,
+    block n drawing from rngs[n] with UE azimuths azimuths_deg[n] (N, U).
     Scalar draws per UE: for LoS the phase of the dominant unit-power path
     at the UE azimuth; then per scattered path (every non-LoS path) a normal,
-    a normal and a uniform angle in the sector.  The arithmetic is batched.
-    """
+    a normal and a uniform angle in the sector.  The arithmetic is batched."""
     half = cfg.sector_deg / 2.0
     if cfg.los:
         powers = np.full(cfg.num_paths_los - 1, 10.0 ** (cfg.los_scatter_db / 10.0))
@@ -92,41 +93,51 @@ def _draw_paths(cfg: ScenarioConfig, rng: np.random.Generator, azimuths_deg: np.
         powers = 10.0 ** (-cfg.decay_db_per_path * np.arange(cfg.num_paths_nlos) / 10.0)
         powers /= powers.sum()
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random().
-    normal, uniform = rng.standard_normal, rng.random
     phases, draws = [], []
-    for _ in azimuths_deg:
-        if cfg.los:
-            phases.append(2.0 * np.pi * uniform())
-        for _ in powers:
-            draws += (*normal(2).tolist(), uniform())
-    d = np.array(draws).reshape(len(azimuths_deg), len(powers), 3)
+    for rng, azimuths in zip(rngs, azimuths_deg):
+        normal, uniform = rng.standard_normal, rng.random
+        for _ in azimuths:
+            if cfg.los:
+                phases.append(2.0 * np.pi * uniform())
+            for _ in powers:
+                draws += (*normal(2).tolist(), uniform())
+    d = np.array(draws).reshape(azimuths_deg.shape + (len(powers), 3))
     gains = (d[..., 0] + 1j * d[..., 1]) * np.sqrt(powers / 2.0)
     freqs = np.pi * np.sin(np.deg2rad(-half + 2.0 * half * d[..., 2]))
-    if cfg.los:
-        gains = np.hstack([np.exp(1j * np.array(phases))[:, None], gains])
-        freqs = np.hstack([np.pi * np.sin(np.deg2rad(azimuths_deg))[:, None], freqs])
+    if cfg.los:                         # (N, U) arrays join (N, U, L) ones on axis 2
+        gains = np.dstack([np.exp(1j * np.array(phases)).reshape(azimuths_deg.shape), gains])
+        freqs = np.dstack([np.pi * np.sin(np.deg2rad(azimuths_deg)), freqs])
     return gains, freqs
 
 
-def apply_power_control(H: np.ndarray, range_db: float, target: float,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Rescale each column so its power sits uniformly within +/- range_db of target."""
+def apply_power_control(H: np.ndarray, range_db: float, target: float, rng) -> np.ndarray:
+    """Rescale each column so its power sits uniformly within +/- range_db of
+    target.  H may be a stack (N, B, U) with one Generator per matrix."""
     H = np.asarray(H, dtype=complex)
-    # The bytes np.linalg.norm(h) ** 2 gives: a dot product per rail, one sqrt.
-    powers = [math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag)) ** 2 for h in H.T]
-    if 0.0 in powers:
-        raise ValueError(f"column {powers.index(0.0)} has zero power")
-    offsets_db = rng.uniform(-range_db, range_db, size=len(powers)).tolist()
-    return H * np.array([math.sqrt(target * 10.0 ** (o / 10.0) / p)
-                         for o, p in zip(offsets_db, powers)])
+    scales = []
+    for Hn, g in zip(H.reshape((-1,) + H.shape[-2:]), [rng] if H.ndim == 2 else rng):
+        # The bytes np.linalg.norm(h) ** 2 gives: a dot product per rail, one sqrt.
+        powers = [math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag)) ** 2 for h in Hn.T]
+        if 0.0 in powers:
+            raise ValueError(f"column {powers.index(0.0)} has zero power")
+        offsets = g.uniform(-range_db, range_db, size=len(powers)).tolist()  # in dB
+        scales += [math.sqrt(target * 10.0 ** (o / 10.0) / p) for o, p in zip(offsets, powers)]
+    return H * np.reshape(scales, H.shape[:-2] + (1, -1))
 
 
-def draw_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelMatrix:
-    """Draw UE placements and path gains, returning a power-controlled channel."""
-    angles = _draw_angles(cfg, rng)
-    gains, freqs = _draw_paths(cfg, rng, angles)
-    H = np.column_stack([b @ g for b, g in zip(_basis(freqs, cfg.num_antennas), gains)])
-    H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rng)
+def draw_scenario(cfg: ScenarioConfig, rng) -> ChannelMatrix:
+    """Draw UE placements and path gains, returning a power-controlled channel.
+    A list of N Generators gives a stack: H (N, B, U) and angles (N, U), each
+    block equal byte for byte to its Generator's draw alone."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    angles = np.array([_draw_angles(cfg, r) for r in rngs])
+    gains, freqs = _draw_paths(cfg, rngs, angles)
+    # Per block one product (U, B, L) @ (U, L, 1): the bytes of U matvecs.
+    H = np.stack([(_basis(f, cfg.num_antennas) @ g[..., None])[..., 0].T
+                  for f, g in zip(freqs, gains)])
+    H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rngs)
+    if rngs is not rng:
+        H, angles = H[0], angles[0]
     return ChannelMatrix(H=H, angles_deg=angles)
 
 

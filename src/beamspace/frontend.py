@@ -23,12 +23,12 @@ class AdcConfig:
 
     bits: int
     unit_step: float   # MSE-optimal step for a standard Gaussian input
-    step: float        # unified step shared by all antennas / both rails
+    step: float        # unified step of all antennas and both rails; (N, 1, 1) per stack
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.unit_step <= 0 or self.step <= 0:
+        if self.unit_step <= 0 or np.asarray(self.step).min() <= 0:
             raise ValueError("step sizes must be positive")
 
 
@@ -77,20 +77,21 @@ def optimal_unit_step(bits: int) -> float:
     return _UNIT_STEPS[bits - 1]
 
 
-def unified_step(H: np.ndarray, Es: float, N0: float, bits: int) -> float:
-    """Worst-antenna step size: max_b step1 * sqrt((Es ||h_b^r||^2 + N0) / 2)."""
-    H = np.asarray(H)
-    row_var = Es * np.sum(np.abs(H) ** 2, axis=1) + N0
-    return optimal_unit_step(bits) * float(np.sqrt(row_var.max() / 2.0))
+def unified_step(H: np.ndarray, Es: float, N0: float, bits: int):
+    """Worst-antenna step size: max_b step1 * sqrt((Es ||h_b^r||^2 + N0) / 2);
+    one per matrix, shaped (N,), for a stack (N, B, U)."""
+    row_var = Es * np.sum(np.abs(np.asarray(H)) ** 2, axis=-1) + N0
+    return optimal_unit_step(bits) * np.sqrt(row_var.max(axis=-1) / 2.0)
 
 
 def quantize_adc(z: np.ndarray, step: float, bits: int) -> np.ndarray:
     """Mid-rise quantization, returned step-normalized (half-integer levels).
 
     Operates independently on real and imaginary parts.  Inputs at exactly
-    zero map to the positive level +1/2.
+    zero map to the positive level +1/2.  ``step`` may be an array that
+    broadcasts against z, one step per matrix of a stack.
     """
-    if step <= 0:
+    if np.asarray(step).min() <= 0:
         raise ValueError("step must be positive")
     half_levels = 1 << (bits - 1)
     # Both rails in one pass over the interleaved float view.
@@ -111,7 +112,7 @@ def dft_unitary(x: np.ndarray) -> np.ndarray:
 
 
 def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
-            rng: np.random.Generator, beamspace: bool = True):
+            rng, beamspace: bool = True):
     """One (possibly batched) receive operation.
 
     Returns (antenna ReceiveVector, beamspace ReceiveVector), the second None
@@ -122,12 +123,17 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
     of the step-normalized mid-rise levels, and in the (9, 1) format those
     of the exact unitary DFT of the levels, re-quantized with saturation.
     With adc=None both are exact floating-point samples in physical units.
+    A stack H (N, B, U) takes a list of N Generators and steps (N, 1, 1):
+    each block's samples and codes equal those of its receive alone.
     """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     z = np.asarray(H @ s, dtype=complex)
-    noise = rng.standard_normal((2,) + z.shape)
+    noise = np.empty((len(rngs), 2, z.size // len(rngs)))
+    for g, out in zip(rngs, noise):
+        g.standard_normal(out=out)
     noise *= np.sqrt(N0 / 2.0)
-    z.real += noise[0]
-    z.imag += noise[1]
+    z.real += noise[:, 0].reshape(z.shape)
+    z.imag += noise[:, 1].reshape(z.shape)
     del noise           # each 64 x 128 temporary goes as soon as it is used
     if adc is None:
         return (ReceiveVector("antenna", z, None),

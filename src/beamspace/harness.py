@@ -9,19 +9,18 @@ and evaluates each (config, SNR) BER point at most once.
 
 Configs that agree on every field but the algorithm and its params (a
 group) draw the same channel, bits and noise at a given SNR and block
-index, because the stream does not depend on the algorithm and every
-detector draws in the same order.  A group's block therefore runs the
-front end once (channel draw, receive, CSI, rho; the beamspace data only
-if a detector of the group reads it), builds each distinct filter once
-(one LMMSE filter per domain; one greedy OMP run per support rule up to
-the group's largest K, whose supports are nested, so the filter at each
-smaller K is the one a run to that K gives), and only then runs each
-config's kernel and demap.  A round's blocks run in contiguous chunks of
-at most _CHUNK_BLOCKS: each filter is built and quantized in one stacked
-call over a chunk, whose filters equal those of its blocks alone byte for
-byte.  A chunk holds its blocks' CSI and filters; the data is held one
-block at a time.  A pooled round is one task per worker, each a
-contiguous share of the round's blocks that the worker runs as chunks.
+index: the stream does not depend on the algorithm.  A round's blocks run
+in contiguous chunks of at most _CHUNK_BLOCKS, each in three passes.  The
+front end (channel, ADC step, rho, LS pilots; in beamspace only if a
+detector of the group reads it) runs once over the chunk: each block draws
+from its own Generator, and the arithmetic between draws is stacked.  Each
+distinct filter is built and quantized in one stacked call (one LMMSE
+filter per domain; one OMP run per support rule to the group's largest K,
+whose nested supports give each smaller K).  Then block by block the data
+is drawn and received once, and each config runs its kernel and demap.
+Stacked results equal those of each block alone, byte for byte.  A pooled
+round is one task per worker, each a contiguous share of the round's
+blocks that the worker runs as chunks.
 The standard library's process pool (with ``multiprocessing``) is
 imported only when a process builds its first pool, so a process that
 never pools, as at the default ``workers=1``, never loads it.
@@ -167,6 +166,12 @@ class BlockResult:
     executed_real_mults: int
     total_real_mults: int
 
+    def __add__(self, other: BlockResult) -> BlockResult:
+        """The field-wise sum: associative, so totals do not depend on grouping."""
+        return BlockResult(self.bit_errors + other.bit_errors, self.bits + other.bits,
+                           self.executed_real_mults + other.executed_real_mults,
+                           self.total_real_mults + other.total_real_mults)
+
 
 @dataclass
 class BerPoint:
@@ -198,67 +203,63 @@ def _filter_key(cfg: SimConfig) -> tuple:
     return det.domain, det.omp, max(1, round(cfg.delta * B)) if det.omp else B
 
 
-def _front_end(cfg: SimConfig, snr_db: float, block_index: int, beamspace: bool) -> dict:
-    """A block's state up to its CSI, common to the configs of a group: its
-    Generator after the channel draw and, for LS CSI, the pilot noise; the
-    channel, ADC, step and regularization rho; and the received pilots, in
-    beamspace too if ``beamspace`` (some config of the group detects there)."""
-    rng = _block_rng(cfg, snr_db, block_index)
-    H = draw_scenario(cfg.scenario, rng).H
+def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool) -> dict:
+    """The state up to the CSI of blocks ``indices``, common to a group, in one
+    pass: stacked, the channels, steps, rho and (LS) the received pilots, in
+    beamspace too if ``beamspace``; per block (``blocks``), its Generator
+    after the draws so far, channel, N0 and ADC.  Each Generator draws as
+    alone; the arithmetic between the draws runs once over the stack."""
+    rngs = [_block_rng(cfg, snr_db, i) for i in indices]
+    H = draw_scenario(cfg.scenario, rngs).H
     N0 = cfg.noise_power(snr_db)
-    if cfg.adc_bits is None:
-        adc = None
-        step = 1.0
-    else:
-        unit = optimal_unit_step(cfg.adc_bits)
-        adc = AdcConfig(cfg.adc_bits, unit, unified_step(H, cfg.Es, N0, cfg.adc_bits))
-        step = adc.step
-    block = {"rng": rng, "H": H, "N0": N0, "adc": adc, "beamspace": beamspace,
-             "step": step, "rho": N0 / (cfg.Es * step ** 2)}
+    adc = None if cfg.adc_bits is None else AdcConfig(
+        cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
+        unified_step(H, cfg.Es, N0, cfg.adc_bits)[:, None, None])
+    steps = [1.0] * len(rngs) if adc is None else adc.step.ravel().tolist()
+    chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
+             "rho": np.array([N0 / (cfg.Es * step ** 2) for step in steps]),  # float pow
+             "blocks": [{"rng": r, "H": h, "N0": N0, "beamspace": beamspace,
+                         "adc": adc and AdcConfig(adc.bits, adc.unit_step, step)}
+                        for r, h, step in zip(rngs, H, steps)]}
     if cfg.csi_mode == "ls":
-        block["pilots"] = dft_pilots(H.shape[1], cfg.Es)
-        block["pilot_rx"] = receive(H, block["pilots"], N0, adc, rng, beamspace)
-    return block
+        chunk["pilots"] = dft_pilots(H.shape[-1], cfg.Es)
+        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc, rngs, beamspace)
+    return chunk
 
 
-def _estimates(cfg: SimConfig, blocks: list, domain: str, built: dict) -> np.ndarray:
+def _estimates(cfg: SimConfig, chunk: dict, domain: str, built: dict) -> np.ndarray:
     """The chunk's channel estimates in ``domain``, stacked (N, B, U); each
     domain's stack is built once per chunk and group (in ``built``)."""
     if domain not in built:
         if cfg.csi_mode == "ls":
-            pilot_rx = np.stack([b["pilot_rx"][_DOMAINS.index(domain)].values
-                                 for b in blocks])
-            built[domain] = ls_estimate(pilot_rx, blocks[0]["pilots"], cfg.Es)
+            pilot_rx = chunk["pilot_rx"][_DOMAINS.index(domain)].values
+            built[domain] = ls_estimate(pilot_rx, chunk["pilots"], cfg.Es)
         elif domain == "antenna":
-            steps = np.array([b["step"] for b in blocks])[:, None, None]
-            built[domain] = perfect_csi(np.stack([b["H"] for b in blocks]), steps)
+            built[domain] = perfect_csi(chunk["H"], chunk["step"])
         else:
-            built[domain] = dft_unitary(_estimates(cfg, blocks, "antenna", built))
+            built[domain] = dft_unitary(_estimates(cfg, chunk, "antenna", built))
     return built[domain]
 
 
-def _build_filters(cfgs: tuple, blocks: list) -> None:
-    """Each distinct filter of the group for every block of a chunk, built
-    and quantized once over the chunk: one lmmse_filter call per domain, one
-    omp_filter call per support rule, run to the group's largest K (its
-    supports are nested, so the filter at each smaller K is the one a run
-    to that K gives), and one quantize_filter call per _filter_key.  Block
-    n's filters go into ``blocks[n]`` under their keys."""
+def _build_filters(cfgs: tuple, chunk: dict) -> None:
+    """Each distinct filter of the group for every block of a chunk: one
+    lmmse_filter call per domain, one omp_filter call per support rule (to
+    the group's largest K) and one quantize_filter call per _filter_key.
+    Block n's filters go into ``chunk["blocks"][n]`` under their keys."""
     cfg = cfgs[0]
     keys = list(dict.fromkeys(map(_filter_key, cfgs)))
-    rho = np.array([b["rho"] for b in blocks])
     estimates = {}
     for domain, omp in dict.fromkeys(key[:2] for key in keys):
-        H_est = _estimates(cfg, blocks, domain, estimates)
+        H_est = _estimates(cfg, chunk, domain, estimates)
         sizes = [k for d, o, k in keys if (d, o) == (domain, omp)]
         if omp:
-            eqs = omp_filter(H_est, rho, sizes, omp, domain=domain)
+            eqs = omp_filter(H_est, chunk["rho"], sizes, omp, domain=domain)
         else:
-            eqs = [lmmse_filter(H_est, rho, domain=domain)]
+            eqs = [lmmse_filter(H_est, chunk["rho"], domain=domain)]
         for K, eq in zip(sizes, eqs):
             if cfg.arithmetic == "fixed":
                 eq = quantize_filter(eq, _W_FMT[domain])
-            for n, block in enumerate(blocks):
+            for n, block in enumerate(chunk["blocks"]):
                 block[domain, omp, K] = eq[n]
 
 
@@ -306,21 +307,18 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     but the algorithm and its params: one BlockResult per config and block,
     block by block in the group's order.
 
-    Three passes: per block, the draws up to the CSI on the block's own
-    Generator (``_front_end``); per distinct filter, one stacked build and
-    quantization over the chunk (``_build_filters``); then per block, each
-    config's ``_sim_block``, of which the first draws the bits and data
-    noise from that same Generator, so each block's stream keeps its order.
-    The chunk holds its blocks' CSI and filters; a block's data is dropped
-    before the next block's is drawn.  One block of a group is the chunk
-    ``[block_index]``: its results equal those of that block in any chunk.
+    Three passes (module docstring): ``_front_end`` and ``_build_filters``
+    once over the chunk, then per block each config's ``_sim_block``, the
+    first of which draws the bits and data noise from the block's Generator.
+    A block's data goes before the next block's is drawn.  The chunk
+    ``[block_index]`` gives the results of that block in any chunk.
     """
     cfg = cfgs[0]
     beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
-    blocks = [_front_end(cfg, snr_db, i, beamspace) for i in indices]
-    _build_filters(cfgs, blocks)
+    chunk = _front_end(cfg, snr_db, indices, beamspace)
+    _build_filters(cfgs, chunk)
     results = []
-    for shared in blocks:
+    for shared in chunk["blocks"]:
         results += [_sim_block(c, shared) for c in cfgs]
         shared.clear()                  # the block's data goes before the next is drawn
     return results
@@ -429,20 +427,20 @@ def _ber_points(cfgs, snr_db: float) -> list[BerPoint]:
     bits_per_block = cfg.scenario.num_ues * BITS_PER_SYMBOL * cfg.coherence_len
     blocks_per_round = math.ceil(cfg.min_bits_per_point / bits_per_block)
     max_bits = cfg.max_bits_per_point or 4 * cfg.min_bits_per_point
-    sums = {key: (0, 0, 0, 0) for key in going}   # BlockResult fields, summed
+    sums = {key: BlockResult(0, 0, 0, 0) for key in going}
     next_index = 0
     while going:
         indices = range(next_index, next_index + blocks_per_round)
         next_index += blocks_per_round
         results = _map_blocks(tuple(going.values()), snr_db, indices)
         for key, res in zip(itertools.cycle(list(going)), results):
-            sums[key] = tuple(s + r for s, r in zip(sums[key], astuple(res)))
+            sums[key] += res
         for key in list(going):
-            errors, bits, executed, total = sums[key]
+            errors, bits = sums[key].bit_errors, sums[key].bits
             if bits >= cfg.min_bits_per_point and (
                     errors >= cfg.min_errors_per_point or bits >= max_bits):
-                _scope.points[key] = BerPoint(snr_db, errors / bits, bits, errors,
-                                              executed / total)
+                alpha = sums[key].executed_real_mults / sums[key].total_real_mults
+                _scope.points[key] = BerPoint(snr_db, errors / bits, bits, errors, alpha)
                 del going[key]
     return [_scope.points[key] for key in keys]
 

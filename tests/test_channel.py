@@ -214,3 +214,32 @@ def test_draw_scenario_matches_frozen_copy(los, num_ues):
         assert scen.H.tobytes() == H.tobytes()
         assert scen.angles_deg.tobytes() == angles.tobytes()
         assert r_new.bit_generator.state == r_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("los", [True, False])
+@pytest.mark.parametrize("num_ues", [1, 8, 16])
+def test_draw_scenario_on_a_stack_matches_frozen_copy(los, num_ues):
+    # Stacks of 1 to 8 Generators: each block's H and angles byte for byte
+    # as the frozen copy draws them alone, and each Generator's state after.
+    cfg = ScenarioConfig(num_antennas=64, num_ues=num_ues, los=los)
+    seeds = iter(range(36))
+    for size in range(1, 9):
+        block_seeds = [next(seeds) for _ in range(size)]
+        r_new = [np.random.default_rng(seed) for seed in block_seeds]
+        scen = draw_scenario(cfg, r_new)
+        assert scen.H.shape == (size, 64, num_ues) and scen.angles_deg.shape == (size, num_ues)
+        for n, seed in enumerate(block_seeds):
+            r_ref = np.random.default_rng(seed)
+            H, angles, _ = _frozen_draw_scenario(cfg, r_ref)
+            assert scen.H[n].tobytes() == H.tobytes()
+            assert scen.angles_deg[n].tobytes() == angles.tobytes()
+            assert r_new[n].bit_generator.state == r_ref.bit_generator.state
+
+
+def test_power_control_on_a_stack_equals_each_matrix_alone():
+    rng = np.random.default_rng(12)
+    H = rng.standard_normal((5, 16, 3)) + 1j * rng.standard_normal((5, 16, 3))
+    out = apply_power_control(H, 3.0, 16.0, [np.random.default_rng(i) for i in range(5)])
+    for n in range(5):
+        alone = apply_power_control(H[n], 3.0, 16.0, np.random.default_rng(n))
+        assert out[n].tobytes() == alone.tobytes()

@@ -112,6 +112,9 @@ def test_decomposition_error_fails_cleanly(monkeypatch, capsys):
     (["--min-sep-deg", "nan"], "min_sep_deg"),
     (["--los-scatter-db", "nan"], "los_scatter_db"),
     (["--los", "false", "--decay-db-per-path", "inf"], "decay_db_per_path"),
+    (["--sector-deg", "-10"], "sector_deg"),
+    (["--num-ues", "1", "--min-sep-deg", "0", "--sector-deg", "-10"], "sector_deg"),
+    (["--num-ues", "1", "--min-sep-deg", "0", "--sector-deg", "0"], "sector_deg"),
 ])
 def test_out_of_range_scenario_field_fails_cleanly(flags, field, capsys):
     rc = main(["ber", *flags, "--snr-grid-db", "0"])

@@ -100,6 +100,23 @@ def test_unified_step_matches_row_oracle():
     assert abs(unified_step(H, Es, N0, m) - ref) < 1e-12
 
 
+def test_unified_step_on_a_stack_equals_each_matrix_alone():
+    # Each step of a stack equals, exactly, that of its matrix alone and the
+    # per-matrix formula as first written (row sums over axis 1).
+    rng = np.random.default_rng(21)
+    for los in (1, 0):
+        gens = [np.random.default_rng([los, i]) for i in range(8)]
+        H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=bool(los)), gens).H
+        for bits in (1, 6, 8):
+            N0 = float(rng.uniform(0.01, 4.0))
+            steps = unified_step(H, 1.0, N0, bits)
+            assert steps.shape == (8,)
+            for n in range(8):
+                row_var = np.sum(np.abs(H[n]) ** 2, axis=1) + N0
+                ref = optimal_unit_step(bits) * float(np.sqrt(row_var.max() / 2.0))
+                assert steps[n] == unified_step(H[n], 1.0, N0, bits) == ref
+
+
 def test_unified_step_scale_equivariance():
     rng = np.random.default_rng(6)
     H = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
@@ -336,3 +353,36 @@ def test_receive_matches_frozen_copy():
         assert ant.values.shape == ref[0].shape and ant.values.dtype == ref[0].dtype
         assert ant.values.tobytes() == ref[0].tobytes(), i
         assert r_ant.bit_generator.state == r_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [6, 1, None])
+@pytest.mark.parametrize("los", [True, False])
+def test_stacked_pilot_receive_equals_each_block_alone(bits, los):
+    # A chunk's LS pilot observations in one receive over the stack, each
+    # block with its own Generator and step, equal those of each block's
+    # receive alone: codes in both domains (samples without an ADC), and
+    # each Generator's state after.
+    cfg = ScenarioConfig(num_antennas=64, num_ues=8, los=los)
+    pilots = dft_pilots(8, 1.0)
+    for size in (1, 3, 8):
+        H = draw_scenario(cfg, [np.random.default_rng([size, i]) for i in range(size)]).H
+        N0 = 10.0 ** (-size / 10.0)
+        adc = None if bits is None else AdcConfig(
+            bits, optimal_unit_step(bits), unified_step(H, 1.0, N0, bits)[:, None, None])
+        gens = [np.random.default_rng([7, size, i]) for i in range(size)]
+        stacked = receive(H, pilots, N0, adc, gens)
+        antenna_only = receive(H, pilots, N0, adc,
+                               [np.random.default_rng([7, size, i]) for i in range(size)],
+                               beamspace=False)
+        assert antenna_only[1] is None
+        for n in range(size):
+            gen = np.random.default_rng([7, size, n])
+            alone = receive(H[n], pilots, N0, None if adc is None else AdcConfig(
+                bits, adc.unit_step, float(adc.step[n, 0, 0])), gen)
+            assert gen.bit_generator.state == gens[n].bit_generator.state
+            for got, ref in zip(stacked + antenna_only[:1], alone + alone[:1]):
+                assert got.domain == ref.domain and got.fmt == ref.fmt
+                if adc is None:
+                    assert got.values[n].tobytes() == ref.values.tobytes()
+                else:
+                    assert got.fx.codes[n].tobytes() == ref.fx.codes.tobytes()

@@ -246,6 +246,25 @@ def test_pool_shut_down_after_exception(pool_count):
     assert len(pool_count) == 2
 
 
+def test_block_results_sum_the_same_in_any_grouping():
+    # BlockResult's + is associative: a list's totals do not depend on how
+    # it is cut into runs, nor on the order in which the runs' sums add.
+    rng = np.random.default_rng(4)
+    results = [harness.BlockResult(*rng.integers(0, 10**6, 4).tolist()) for _ in range(40)]
+    zero = harness.BlockResult(0, 0, 0, 0)
+    total = harness.BlockResult(*map(sum, zip(*map(dataclasses.astuple, results))))
+    for _ in range(20):
+        cuts = [0, *sorted(rng.choice(np.arange(1, 40), int(rng.integers(0, 12)),
+                                      replace=False).tolist()), 40]
+        runs = [sum(results[a:b], zero) for a, b in zip(cuts, cuts[1:])]
+        assert sum(runs, zero) == total
+        right = zero
+        for run in reversed(runs):
+            right = run + right
+        assert right == total
+    assert all(type(v) is int for v in dataclasses.astuple(total))
+
+
 def test_gap_regression_golden():
     # recorded at build time from this implementation; small-budget run so
     # the operating points are noisy but fully deterministic
@@ -345,6 +364,12 @@ def test_bench_tracer_sees_chunk_stages():
     assert len(results) == names["harness.block"] == 8
     assert names["equalize.filter"] == names["equalize.quantize"] == 2
     assert names["numerics.solve"] == K + 1
+    # The front end runs once over the chunk: one channel draw, one ADC
+    # step and one LS pilot receive (a frontend.csi span); the data is
+    # received block by block.
+    assert names["channel.draw"] == 1
+    assert names["frontend.step"] == 2          # optimal_unit_step, unified_step
+    assert names["frontend.receive"] == 4
 
 
 def _every_detector(base: SimConfig) -> list:

@@ -216,8 +216,11 @@ def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool) -> dict:
         cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
         unified_step(H, cfg.Es, N0, cfg.adc_bits)[:, None, None])
     steps = [1.0] * len(rngs) if adc is None else adc.step.ravel().tolist()
+    scales = [cfg.Es * step ** 2 for step in steps]     # float pow
+    if 0.0 in scales:
+        raise ConfigError(f"Es {cfg.Es} is too small: Es * step^2 underflows to 0")
     chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
-             "rho": np.array([N0 / (cfg.Es * step ** 2) for step in steps]),  # float pow
+             "rho": np.array([N0 / scale for scale in scales]),
              "blocks": [{"rng": r, "H": h, "N0": N0, "beamspace": beamspace,
                          "adc": adc and AdcConfig(adc.bits, adc.unit_step, step)}
                         for r, h, step in zip(rngs, H, steps)]}

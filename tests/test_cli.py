@@ -262,6 +262,10 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["ber", "--snr-grid-db", "0", "--min-errors-per-point", "-5"], "min_errors_per_point"),
     (["ber", "--snr-grid-db", "0", "--arithmetic", "exact"], "arithmetic"),
     (["ber", "--snr-grid-db", "0", "--coherence-len", "0"], "coherence_len"),
+    # at 0 dB, Es below about 1e-161 makes Es * step^2 underflow to 0 in rho;
+    # at workers=2 the error is raised in a forked pool worker
+    (["ber", "--snr-grid-db", "0", "--Es", "1e-170"], "Es 1e-170"),
+    (["ber", "--snr-grid-db", "0", "--Es", "1e-170", "--workers", "2"], "Es 1e-170"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])

@@ -125,16 +125,22 @@ def apply_power_control(H: np.ndarray, range_db: float, target: float, rng) -> n
     return H * np.reshape(scales, H.shape[:-2] + (1, -1))
 
 
-def draw_scenario(cfg: ScenarioConfig, rng) -> ChannelMatrix:
+def _superpose(freqs: np.ndarray, gains: np.ndarray, num_antennas: int) -> np.ndarray:
+    """One block's channel (B, U) from its paths' frequencies and gains (U, L):
+    one product (U, B, L) @ (U, L, 1), the bytes of U matvecs."""
+    return (_basis(freqs, num_antennas) @ gains[..., None])[..., 0].T
+
+
+def draw_scenario(cfg: ScenarioConfig, rng, map_fn=map) -> ChannelMatrix:
     """Draw UE placements and path gains, returning a power-controlled channel.
     A list of N Generators gives a stack: H (N, B, U) and angles (N, U), each
-    block equal byte for byte to its Generator's draw alone."""
+    block equal byte for byte to its Generator's draw alone.  ``map_fn``, an
+    order-preserving map, computes each block's path superposition (which
+    draws nothing) from its paths; it may run them on other threads."""
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     angles = np.array([_draw_angles(cfg, r) for r in rngs])
     gains, freqs = _draw_paths(cfg, rngs, angles)
-    # Per block one product (U, B, L) @ (U, L, 1): the bytes of U matvecs.
-    H = np.stack([(_basis(f, cfg.num_antennas) @ g[..., None])[..., 0].T
-                  for f, g in zip(freqs, gains)])
+    H = np.stack(list(map_fn(_superpose, freqs, gains, [cfg.num_antennas] * len(rngs))))
     H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rngs)
     if rngs is not rng:
         H, angles = H[0], angles[0]
@@ -145,7 +151,7 @@ def dump_channel_csv(H: np.ndarray, path) -> None:
     """Write an antenna-domain channel as CSV rows ``b,u,re,im``."""
     import csv                          # only here: ``import beamspace`` skips it
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["b", "u", "re", "im"])
         for b in range(H.shape[0]):
             for u in range(H.shape[1]):

@@ -123,7 +123,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _write_csv(path, header, rows) -> None:
     fh = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(float(v)) if isinstance(v, float) else v

@@ -21,6 +21,18 @@ is drawn and received once, and each config runs its kernel and demap.
 Stacked results equal those of each block alone, byte for byte.  A pooled
 round is one task per worker, each a contiguous share of the round's
 blocks that the worker runs as chunks.
+``workers`` counts processes.  With at least twice ``workers`` cores in
+the affinity mask (``_spare_core``), each chunk starts one helper thread
+(``_helper``, imported by the first such chunk) for work numpy runs
+outside the GIL: every other block's path
+superposition in the channel draw (the steering-basis exponentials), then
+each block's data bits and unit noise, in block order and at most one
+block ahead.  A block's Generator is used by one thread at a time in its
+order alone (front end here, data draws there), so every output is
+byte-identical with or without the helper.  The stage functions called by
+name here, which a tracer may rebind, run on the main thread only.  The
+helper ends with its chunk, so no thread outlives a chunk or exists at a
+fork.
 The standard library's process pool (with ``multiprocessing``) is
 imported only when a process builds its first pool, so a process that
 never pools, as at the default ``workers=1``, never loads it.
@@ -34,16 +46,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .channel import ScenarioConfig, draw_scenario
 from .equalize import lmmse_filter, omp_filter, quantize_filter
 from .frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
-                       optimal_unit_step, perfect_csi, receive, unified_step)
+                       optimal_unit_step, perfect_csi, receive, unified_step,
+                       unit_noise)
 from .modem import BITS_PER_SYMBOL, demap_hard, map_bits
 from .numerics import ANTENNA_W_FMT, BEAMSPACE_W_FMT
 from .spade import ThresholdPair, adaptive_mvm, exact_mvm_fixed
@@ -203,14 +218,15 @@ def _filter_key(cfg: SimConfig) -> tuple:
     return det.domain, det.omp, max(1, round(cfg.delta * B)) if det.omp else B
 
 
-def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool) -> dict:
+def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool, map_fn) -> dict:
     """The state up to the CSI of blocks ``indices``, common to a group, in one
     pass: stacked, the channels, steps, rho and (LS) the received pilots, in
     beamspace too if ``beamspace``; per block (``blocks``), its Generator
     after the draws so far, channel, N0 and ADC.  Each Generator draws as
-    alone; the arithmetic between the draws runs once over the stack."""
+    alone; the arithmetic between the draws runs once over the stack, and
+    the channel's path superpositions through ``map_fn`` (draw_scenario)."""
     rngs = [_block_rng(cfg, snr_db, i) for i in indices]
-    H = draw_scenario(cfg.scenario, rngs).H
+    H = draw_scenario(cfg.scenario, rngs, map_fn).H
     N0 = cfg.noise_power(snr_db)
     adc = None if cfg.adc_bits is None else AdcConfig(
         cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
@@ -270,18 +286,15 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     """One coherence block of one config of a group.
 
     ``shared`` is the block's state common to the configs of the group,
-    with its filters built (``_sim_chunk``): the first config draws the bits
-    and data noise from the block's Generator and receives the data, and
-    the others reuse them.  A config alone runs a chunk of one block:
+    with its filters built and its bits and unit data noise drawn
+    (``_sim_chunk``): the first config receives the data, and the others
+    reuse it.  A config alone runs a chunk of one block:
     ``_sim_chunk((cfg,), snr_db, [block_index])[0]``.
     """
     if "rx" not in shared:
-        rng = shared["rng"]
-        U = shared["H"].shape[1]
-        shared["tx_bits"] = rng.integers(0, 2, size=(cfg.coherence_len, U, BITS_PER_SYMBOL))
         S = map_bits(shared["tx_bits"], cfg.Es).T  # (U, T)
-        shared["rx"] = receive(shared["H"], S, shared["N0"], shared["adc"], rng,
-                               shared["beamspace"])  # (antenna, beamspace)
+        shared["rx"] = receive(shared["H"], S, shared["N0"], shared["adc"],
+                               shared.pop("noise"), shared["beamspace"])
     det = cfg.detector
     eq = shared[_filter_key(cfg)]
     yvec = shared["rx"][_DOMAINS.index(det.domain)]
@@ -305,26 +318,54 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
 
+def _data_draws(coherence_len: int, shared: dict) -> tuple:
+    """A block's data bits (T, U, 4) and the unit normals of its data noise
+    (``unit_noise``), drawn in this order from its Generator."""
+    rng, (B, U) = shared["rng"], shared["H"].shape
+    bits = rng.integers(0, 2, size=(coherence_len, U, BITS_PER_SYMBOL))
+    return bits, unit_noise([rng], (B, coherence_len))
+
+
+def _spare_core(workers: int) -> bool:
+    """Whether the cores this process may run on leave each of ``workers``
+    processes a second one, for a chunk's helper thread."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return 2 * workers <= cores
+
+
 def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     """Blocks ``indices`` of a group of configs, which agree on every field
     but the algorithm and its params: one BlockResult per config and block,
     block by block in the group's order.
 
     Three passes (module docstring): ``_front_end`` and ``_build_filters``
-    once over the chunk, then per block each config's ``_sim_block``, the
-    first of which draws the bits and data noise from the block's Generator.
-    A block's data goes before the next block's is drawn.  The chunk
+    once over the chunk, then per block ``_data_draws`` and each config's
+    ``_sim_block``.  With a spare core, a ``_helper.Helper`` shares the
+    channel's path superpositions and runs the data draws.  The chunk
     ``[block_index]`` gives the results of that block in any chunk.
     """
     cfg = cfgs[0]
     beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
-    chunk = _front_end(cfg, snr_db, indices, beamspace)
-    _build_filters(cfgs, chunk)
-    results = []
-    for shared in chunk["blocks"]:
-        results += [_sim_block(c, shared) for c in cfgs]
-        shared.clear()                  # the block's data goes before the next is drawn
-    return results
+    helper = None
+    if _spare_core(cfg.workers):
+        from ._helper import Helper     # a process without a spare core never loads it
+        helper = Helper()
+    try:
+        chunk = _front_end(cfg, snr_db, indices, beamspace,
+                           helper.split_map if helper else map)
+        draws = (helper.imap if helper else map)(
+            partial(_data_draws, cfg.coherence_len), chunk["blocks"])
+        _build_filters(cfgs, chunk)
+        results = []
+        for shared in chunk["blocks"]:
+            shared["tx_bits"], shared["noise"] = next(draws)
+            results += [_sim_block(c, shared) for c in cfgs]
+            shared.clear()              # the block's data goes before the next is taken
+        return results
+    finally:
+        if helper:
+            helper.close()
 
 
 # Per thread: the public call in progress (``open``), its process pool

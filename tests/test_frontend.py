@@ -13,7 +13,7 @@ from scipy.special import erf
 from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
                                 ls_estimate, optimal_unit_step, perfect_csi,
-                                quantize_adc, receive, unified_step)
+                                quantize_adc, receive, unified_step, unit_noise)
 from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FxComplexArray, to_fixed
 
 # Recorded from this implementation at build time; guards against drift.
@@ -461,6 +461,20 @@ def test_receive_matches_product_first_copy(blocks, bits, beamspace, shape):
     pairs = zip(new_gens, ref_gens) if blocks else [(new_gens, ref_gens)]
     for g_new, g_ref in pairs:
         assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("bits", [6, None])
+@pytest.mark.parametrize("blocks", [0, 3], ids=["one-block", "stack-of-3"])
+def test_receive_of_drawn_unit_noise_matches_receive_of_its_generator(blocks, bits):
+    # The chunk helper draws a block's unit noise ahead (unit_noise); receive
+    # given those normals makes the bytes it makes drawing them itself.
+    H, s, N0, adc, gens = _receive_case(blocks, bits, "data")
+    rngs = gens()
+    drawn = unit_noise(rngs if blocks else [rngs], np.shape(H)[:-1] + s.shape[1:])
+    got = receive(H, s, N0, adc, drawn)
+    ref = receive(H, s, N0, adc, gens())
+    for g, r in zip(got, ref):
+        assert g.values.tobytes() == r.values.tobytes()
 
 
 @pytest.mark.parametrize("blocks", [0, 3], ids=["one-block", "stack-of-3"])

@@ -3,6 +3,8 @@ import importlib.util
 import multiprocessing
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -11,6 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import beamspace._helper as _helper
+import beamspace.channel as channel
 import beamspace.equalize as equalize
 import beamspace.harness as harness
 from beamspace.channel import ScenarioConfig
@@ -661,6 +665,176 @@ def test_pooled_round_is_one_task_per_worker(pool_tasks, n, workers):
     assert multiprocessing.active_children() == []
 
 
+@pytest.fixture
+def helpers(monkeypatch):
+    """``helpers(on)`` forces whether chunks start a helper thread, in place
+    of the spare-core rule; ``helpers.started`` counts the helpers started."""
+    started = []
+
+    class Counted(_helper.Helper):
+        def __init__(self):
+            started.append(self)
+            super().__init__()
+
+    def force(on):
+        monkeypatch.setattr(harness, "_spare_core", lambda workers: on)
+
+    monkeypatch.setattr(_helper, "Helper", Counted)
+    force.started = started
+    return force
+
+
+@pytest.mark.parametrize("los", [True, False])
+@pytest.mark.parametrize("csi_mode", ["perfect", "ls"])
+@pytest.mark.parametrize("arithmetic, adc_bits", [("fixed", 6), ("float", None)])
+def test_helper_thread_leaves_block_results_identical(los, csi_mode, arithmetic, adc_bits,
+                                                      helpers):
+    base = _cfg(scenario=dataclasses.replace(SMALL_SCEN, los=los), csi_mode=csi_mode,
+                arithmetic=arithmetic, adc_bits=adc_bits)
+    group = tuple(_every_detector(base))
+    baseline = threading.active_count()
+    for n in (1, 3, 8):                         # one chunk of n blocks
+        runs = {}
+        for on in (False, True):
+            helpers(on)
+            runs[on] = harness._map_blocks(group, 6.0, range(4, 4 + n))
+        assert runs[True] == runs[False], n
+    assert len(helpers.started) == 3
+    assert threading.active_count() == baseline
+
+
+def _raise_in_helper(fn):
+    """``fn``, but raising RuntimeError when called off the main thread."""
+    def wrapped(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("module, name", [(harness, "unit_noise"), (channel, "_superpose")])
+def test_helper_failure_reaches_the_caller(module, name, helpers, monkeypatch):
+    # a failure in the data draws or in the channel's path superpositions
+    helpers(True)
+    baseline = threading.active_count()
+    monkeypatch.setattr(module, name, _raise_in_helper(getattr(module, name)))
+    with pytest.raises(RuntimeError, match="helper failed"):
+        harness._map_blocks((_cfg(),), 6.0, range(5))
+    with pytest.raises(RuntimeError, match="helper failed"):
+        run_ber_point(_cfg(), 6.0)
+    assert helpers.started and threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("failing_call", [1, 2, 5])
+def test_main_thread_failure_mid_chunk_ends_the_helper(failing_call, helpers, monkeypatch):
+    # demap_hard raising on its n-th call: the helper is drawing ahead, or
+    # waiting for its last result to be taken
+    helpers(True)
+    baseline = threading.active_count()
+    calls = []
+    demap = harness.demap_hard
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise ValueError("demap failed")
+        return demap(*args)
+
+    monkeypatch.setattr(harness, "demap_hard", failing)
+    with pytest.raises(ValueError, match="demap failed"):
+        harness._map_blocks((_cfg(),), 6.0, range(8))
+    assert helpers.started and threading.active_count() == baseline
+
+
+def test_no_helper_outlives_a_public_call(helpers):
+    helpers(True)
+    baseline = threading.active_count()
+    cfg = _cfg(algorithm="cspade", **PARAMS, snr_lo_db=-4.0, snr_hi_db=16.0)
+    calls = [lambda: run_ber_point(cfg, 6.0),
+             lambda: run_ber_curve(cfg, [0.0, 8.0]),
+             lambda: activity_samples(cfg, 6.0, 5),
+             lambda: snr_operating_point(cfg, 1e-2),
+             lambda: pareto_sweep(cfg, [ThresholdPair(0.02, 4.0)], 1e-2)]
+    for call in calls:
+        call()
+        assert threading.active_count() == baseline
+    assert len(helpers.started) > len(calls)
+
+
+def test_pooled_call_after_a_serial_call_with_helpers(monkeypatch):
+    # Helpers at one worker, as on two cores, then a pool forked from the same
+    # process: no helper is alive at the fork, and the points match.
+    monkeypatch.setattr(harness, "_spare_core", lambda workers: workers == 1)
+    baseline = threading.active_count()
+    cfg = _cfg(algorithm="eomp", delta=0.5)
+    serial = run_ber_curve(cfg, [0.0, 6.0])
+    assert threading.active_count() == baseline
+    assert run_ber_curve(dataclasses.replace(cfg, workers=2), [0.0, 6.0]) == serial
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == baseline
+
+
+def test_bench_stages_run_on_the_main_thread_only(helpers, monkeypatch):
+    # The benchmark tracer keeps one unlocked span stack per process, so the
+    # helper must call no name it rebinds: each runs on the main thread.
+    helpers(True)
+    tracing = _bench_tracing()
+    threads = Counter()
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            threads[name, threading.get_ident()] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in tracing.STAGES:
+        monkeypatch.setattr(harness, name, recorded(name, getattr(harness, name)))
+    monkeypatch.setattr(equalize, "solve_hermitian_pd",
+                        recorded("solve_hermitian_pd", equalize.solve_hermitian_pd))
+    cfg = _cfg(scenario=dataclasses.replace(SMALL_SCEN, los=False), coherence_len=128,
+               min_bits_per_point=8192)
+    run_ber_curve(cfg, [0.0, 8.0])                          # ber-nlos-ls shaped
+    harness._map_blocks(tuple(_every_detector(_cfg())), 6.0, range(3))
+    assert helpers.started
+    assert {ident for _, ident in threads} == {threading.main_thread().ident}
+    assert {"draw_scenario", "receive", "map_bits", "demap_hard", "lmmse_filter",
+            "omp_filter", "adaptive_mvm", "solve_hermitian_pd"} <= {n for n, _ in threads}
+
+
+def test_helper_hands_results_in_order_one_ahead():
+    # Under frequent thread switches and an uneven consumer: every result in
+    # order, none lost, and the helper never more than one result ahead.
+    taken, ahead = [0], []
+
+    def work(k):
+        ahead.append(k - taken[0])
+        return k * k
+
+    def consume(out):
+        helper = _helper.Helper()
+        try:
+            for k, value in enumerate(helper.imap(work, range(300))):
+                if k % 7 == 0:
+                    time.sleep(1e-4)
+                out.append(value)
+                taken[0] += 1
+        finally:
+            helper.close()
+
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumer = threading.Thread(target=consume, args=(out,))
+        consumer.start()
+        consumer.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not consumer.is_alive()
+    assert out == [k * k for k in range(300)]
+    assert max(ahead) <= 1
+
+
 WARM_PROBE = '''
 import multiprocessing
 import sys
@@ -733,6 +907,7 @@ if __name__ == "__main__":
     from beamspace.channel import ScenarioConfig
 
     assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
+    assert "beamspace._helper" not in sys.modules     # loaded by a spare-core chunk
     cfg = beamspace.SimConfig(scenario=ScenarioConfig(num_antennas=16, num_ues=2),
                               coherence_len=8, min_bits_per_point=512,
                               min_errors_per_point=0)

@@ -6,7 +6,7 @@ from .channel import ChannelMatrix, ScenarioConfig, apply_power_control, draw_sc
 from .equalize import (EqualizerMatrix, lmmse_filter, omp_filter, quantize_filter,
                        residual_objective)
 from .frontend import (AdcConfig, ReceiveVector, dft_unitary, optimal_unit_step,
-                       quantize_adc, receive, unified_step)
+                       quantize_adc, receive, unified_step, unit_noise)
 from .harness import (BerPoint, ParetoPoint, SimConfig, pareto_sweep,
                       run_ber_curve, run_ber_point, snr_operating_point)
 from .hwmodel import ArchModel, power_proxy, savings_vs_baseline, throughput_bps

@@ -151,7 +151,7 @@ def dump_channel_csv(H: np.ndarray, path) -> None:
     """Write an antenna-domain channel as CSV rows ``b,u,re,im``."""
     import csv                          # only here: ``import beamspace`` skips it
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh)
         writer.writerow(["b", "u", "re", "im"])
         for b in range(H.shape[0]):
             for u in range(H.shape[1]):

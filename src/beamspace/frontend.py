@@ -116,7 +116,9 @@ def unit_noise(rngs, shape) -> np.ndarray:
     """The unit normals of the receive noise of samples ``shape``, split
     evenly over the list of Generators ``rngs``: per Generator one
     standard_normal fill of both rails, the real rail's block first, as an
-    (N, 2, M) array for N Generators."""
+    (N, 2, M) array for N Generators.  Drawn before the product H s that
+    ``receive`` forms: OpenBLAS's AVX-512 kernels return with the upper
+    vector state dirty, which slows numpy's (SSE) normal sampler by a fifth."""
     noise = np.empty((len(rngs), 2, math.prod(shape) // len(rngs)))
     for g, out in zip(rngs, noise):
         g.standard_normal(out=out)
@@ -124,28 +126,21 @@ def unit_noise(rngs, shape) -> np.ndarray:
 
 
 def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
-            rng, beamspace: bool = True):
+            noise: np.ndarray, beamspace: bool = True):
     """One (possibly batched) receive operation.
 
     Returns (antenna ReceiveVector, beamspace ReceiveVector), the second None
     unless ``beamspace``.  The noise is circularly-symmetric complex Gaussian
-    with per-entry variance N0: the unit normals of ``unit_noise``, scaled and
-    added in place onto H s.  ``rng`` is a Generator, or those unit normals
-    drawn beforehand from it (scaled in place here).  With an ADC, both
-    hold the codes that are made here: in the (7, 1) format those of the
-    step-normalized mid-rise levels, and in the (9, 1) format those of the
-    exact unitary DFT of the levels, re-quantized with saturation.
-    With adc=None both are exact floating-point samples in physical units.
-    A stack H (N, B, U) takes a list of N Generators and steps (N, 1, 1):
-    each block's samples and codes equal those of its receive alone.
+    with per-entry variance N0: ``noise``, the unit normals of ``unit_noise``
+    for the shape of H s, scaled in place and added in place onto H s.
+    With an ADC, both hold the codes that are made here: in the (7, 1)
+    format those of the step-normalized mid-rise levels, and in the (9, 1)
+    format those of the exact unitary DFT of the levels, re-quantized with
+    saturation.  With adc=None both are exact floating-point samples in
+    physical units.  A stack H (N, B, U) takes the unit normals of a list
+    of N Generators and steps (N, 1, 1): each block's samples and codes
+    equal those of its receive alone.
     """
-    shape = np.shape(H)[:-1] + np.shape(s)[1:]          # that of H @ s
-    if isinstance(rng, np.ndarray):
-        noise, rng = rng, None          # so that ``del noise`` below frees it
-    else:
-        # Draw before the product: OpenBLAS's AVX-512 kernels return with the upper
-        # vector state dirty, which slows numpy's (SSE) normal sampler by a fifth.
-        noise = unit_noise([rng] if isinstance(rng, np.random.Generator) else rng, shape)
     noise *= np.sqrt(N0 / 2.0)
     z = np.asarray(H @ s, dtype=complex)
     z.real += noise[:, 0].reshape(z.shape)

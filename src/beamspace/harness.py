@@ -21,10 +21,10 @@ is drawn and received once, and each config runs its kernel and demap.
 Stacked results equal those of each block alone, byte for byte.  A pooled
 round is one task per worker, each a contiguous share of the round's
 blocks that the worker runs as chunks.
-``workers`` counts processes.  With at least twice ``workers`` cores in
-the affinity mask (``_spare_core``), each chunk starts one helper thread
-(``_helper``, imported by the first such chunk) for work numpy runs
-outside the GIL: every other block's path
+``workers`` counts processes.  When a round runs in this process alone
+and the affinity mask holds a second core (``_spare_core``), each chunk
+starts one helper thread (``_helper``, imported by the first such chunk)
+for work numpy runs outside the GIL: every other block's path
 superposition in the channel draw (the steering-basis exponentials), then
 each block's data bits and unit noise, in block order and at most one
 block ahead.  A block's Generator is used by one thread at a time in its
@@ -242,7 +242,8 @@ def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool, map_fn) 
                         for r, h, step in zip(rngs, H, steps)]}
     if cfg.csi_mode == "ls":
         chunk["pilots"] = dft_pilots(H.shape[-1], cfg.Es)
-        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc, rngs, beamspace)
+        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc,
+                                    unit_noise(rngs, H.shape), beamspace)
     return chunk
 
 
@@ -326,12 +327,14 @@ def _data_draws(coherence_len: int, shared: dict) -> tuple:
     return bits, unit_noise([rng], (B, coherence_len))
 
 
-def _spare_core(workers: int) -> bool:
-    """Whether the cores this process may run on leave each of ``workers``
-    processes a second one, for a chunk's helper thread."""
+def _spare_core(processes: int) -> bool:
+    """Whether a round run by ``processes`` processes leaves a core for a
+    chunk's helper thread: it runs in this process alone, and the affinity
+    mask holds a second core.  (The one case measured faster; a CPU quota
+    is not seen.)"""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return 2 * workers <= cores
+    return processes == 1 and cores >= 2
 
 
 def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
@@ -341,14 +344,15 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
 
     Three passes (module docstring): ``_front_end`` and ``_build_filters``
     once over the chunk, then per block ``_data_draws`` and each config's
-    ``_sim_block``.  With a spare core, a ``_helper.Helper`` shares the
-    channel's path superpositions and runs the data draws.  The chunk
-    ``[block_index]`` gives the results of that block in any chunk.
+    ``_sim_block``.  When ``_map_blocks`` found a spare core for the round,
+    a ``_helper.Helper`` shares the channel's path superpositions and runs
+    the data draws.  The chunk ``[block_index]`` gives the results of that
+    block in any chunk.
     """
     cfg = cfgs[0]
     beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
     helper = None
-    if _spare_core(cfg.workers):
+    if getattr(_scope, "spare_core", False):
         from ._helper import Helper     # a process without a spare core never loads it
         helper = Helper()
     try:
@@ -369,9 +373,11 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
 
 
 # Per thread: the public call in progress (``open``), its process pool
-# (``pool``, None until its first parallel round) and BER points by (config,
-# SNR) (``points``).  Module state, not an argument, so that run_ber_point and
-# _map_blocks keep the signatures that callers rebinding them rely on.
+# (``pool``, None until its first parallel round), BER points by (config,
+# SNR) (``points``) and whether the round in progress runs here with a core
+# to spare (``spare_core``, set by _map_blocks, read by _sim_chunk).  Module
+# state, not an argument, so that run_ber_point, _map_blocks, _sim_chunk and
+# a pool's ``submit`` keep the signatures that callers rebinding them rely on.
 _scope = threading.local()
 
 
@@ -401,6 +407,7 @@ def _pool_scope():
         yield
     finally:
         pool, _scope.pool, _scope.points, _scope.open = _scope.pool, None, None, False
+        _scope.spare_core = False
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -436,13 +443,16 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     one contiguous share of near-equal size per worker, ``min(n, workers)``
     tasks for a pool of as many processes, and each task runs its share as
     chunks of at most _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the
-    round is one share, run in this process.  Before the first pool of the process forks, the
+    round is one share, run in this process.  Whether its chunks start a
+    helper thread follows from the number of processes that run the round
+    (``_spare_core``).  Before the first pool of the process forks, the
     pool machinery (``ProcessPoolExecutor``) and the numpy submodules that
     the block pipeline loads lazily are imported here, so that no worker
     imports them again and a process that never pools loads none of them.
     """
     indices = list(indices)
     tasks = min(len(indices), cfgs[0].workers)
+    _scope.spare_core = _spare_core(tasks)          # False whenever a pool forks
     if tasks <= 1:
         return _sim_share(cfgs, snr_db, indices)
     if _scope.pool is None:

@@ -9,7 +9,7 @@ from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
                                 quantize_filter, residual_objective)
 from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
                                 optimal_unit_step, perfect_csi, receive,
-                                unified_step)
+                                unified_step, unit_noise)
 from beamspace.numerics import BEAMSPACE_W_FMT, FixedFormat
 
 
@@ -149,7 +149,7 @@ def _harness_instance(i):
         Hb = dft_unitary(perfect_csi(H, adc.step))
     else:
         pilots = dft_pilots(8, 1.0)
-        _, yb = receive(H, pilots, N0, adc, rng)
+        _, yb = receive(H, pilots, N0, adc, unit_noise([rng], H.shape))
         Hb = ls_estimate(yb.values, pilots, 1.0)
     return Hb, N0 / adc.step ** 2
 

@@ -10,14 +10,23 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
+from beamspace import harness
 from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
                                 ls_estimate, optimal_unit_step, perfect_csi,
                                 quantize_adc, receive, unified_step, unit_noise)
+from beamspace.harness import SimConfig
 from beamspace.numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FxComplexArray, to_fixed
 
 # Recorded from this implementation at build time; guards against drift.
 LS_REL_ERR_GOLDEN = 0.07688070016788927
+
+
+def _noise(H, s, rng):
+    """The unit normals that ``receive`` takes for H s, drawn by
+    ``unit_noise`` from ``rng``: a Generator, or a list of them for a stack."""
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    return unit_noise(rngs, np.shape(H)[:-1] + np.shape(s)[1:])
 
 
 def _phi(x):
@@ -179,7 +188,8 @@ def test_beamspace_noise_stays_white():
     rng = np.random.default_rng(11)
     N0 = 0.8
     # no signal and no ADC: receive returns the noise and its unitary DFT
-    n, nb = receive(np.zeros((16, 1)), np.zeros((1, 20000)), N0, None, rng)
+    H, s = np.zeros((16, 1)), np.zeros((1, 20000))
+    n, nb = receive(H, s, N0, None, _noise(H, s, rng))
     assert np.all(np.abs(np.mean(np.abs(n.values) ** 2, axis=1) - N0) < 0.05 * N0)
     var = np.mean(np.abs(nb.values) ** 2, axis=1)
     assert np.all(np.abs(var - N0) < 0.05 * N0)
@@ -198,8 +208,8 @@ def _small_setup(seed=0):
 def test_receive_deterministic():
     H, N0, adc = _small_setup()
     s = np.array([0.3 + 0.1j, -0.2 - 0.4j])
-    a1, b1 = receive(H, s, N0, adc, np.random.default_rng(77))
-    a2, b2 = receive(H, s, N0, adc, np.random.default_rng(77))
+    a1, b1 = receive(H, s, N0, adc, _noise(H, s, np.random.default_rng(77)))
+    a2, b2 = receive(H, s, N0, adc, _noise(H, s, np.random.default_rng(77)))
     assert np.array_equal(a1.values, a2.values)
     assert np.array_equal(b1.values, b2.values)
 
@@ -207,7 +217,7 @@ def test_receive_deterministic():
 def test_receive_formats_and_grid():
     H, N0, adc = _small_setup()
     s = np.array([0.3 + 0.1j, -0.2 - 0.4j])
-    ybar, yb = receive(H, s, N0, adc, np.random.default_rng(1))
+    ybar, yb = receive(H, s, N0, adc, _noise(H, s, np.random.default_rng(1)))
     assert ybar.fmt == ANTENNA_Y_FMT and ybar.domain == "antenna"
     assert yb.fmt == BEAMSPACE_Y_FMT and yb.domain == "beamspace"
     # antenna values are exact half-integers
@@ -220,7 +230,7 @@ def test_receive_formats_and_grid():
 def test_beamspace_is_dft_of_antenna():
     H, N0, adc = _small_setup(3)
     s = np.array([0.1 + 0.2j, 0.4 - 0.1j])
-    ybar, yb = receive(H, s, N0, adc, np.random.default_rng(5))
+    ybar, yb = receive(H, s, N0, adc, _noise(H, s, np.random.default_rng(5)))
     ref = dft_unitary(ybar.values)
     # requantization to (9, 1) moves each component at most half an lsb
     assert np.max(np.abs(yb.values.real - ref.real)) <= 0.25 + 1e-12
@@ -230,7 +240,7 @@ def test_beamspace_is_dft_of_antenna():
 def test_unquantized_receive():
     H, N0, _ = _small_setup(4)
     s = np.array([0.1, 0.2])
-    ybar, yb = receive(H, s, N0, None, np.random.default_rng(5))
+    ybar, yb = receive(H, s, N0, None, _noise(H, s, np.random.default_rng(5)))
     assert ybar.fmt is None and yb.fmt is None
     assert np.allclose(yb.values, dft_unitary(ybar.values), atol=1e-12)
 
@@ -272,7 +282,7 @@ def test_ls_estimate_golden_relative_error():
     step = unified_step(H, Es, N0, 6)
     adc = AdcConfig(6, optimal_unit_step(6), step)
     P = dft_pilots(4, Es)
-    ybar, _ = receive(H, P, N0, adc, np.random.default_rng(42))
+    ybar, _ = receive(H, P, N0, adc, _noise(H, P, np.random.default_rng(42)))
     Ha = ls_estimate(ybar.values, P, Es)
     ref = H / step
     rel = np.linalg.norm(Ha - ref) / np.linalg.norm(ref)
@@ -332,7 +342,7 @@ def test_receive_matches_frozen_copy():
         adc = AdcConfig(bits, optimal_unit_step(bits),
                         unified_step(H, 1.0, N0, bits)) if bits else None
         r_new, r_ref = np.random.default_rng([i, 1]), np.random.default_rng([i, 1])
-        got = receive(H, s, N0, adc, r_new)
+        got = receive(H, s, N0, adc, _noise(H, s, r_new))
         ref = _frozen_receive(H, s, N0, adc, r_ref)
         for g, r in zip(got, ref):
             assert g.values.shape == r.shape and g.values.dtype == r.dtype
@@ -348,7 +358,7 @@ def test_receive_matches_frozen_copy():
         assert r_new.bit_generator.state == r_ref.bit_generator.state
         # antenna only: the same antenna bytes and the same stream consumed
         r_ant = np.random.default_rng([i, 1])
-        ant, none = receive(H, s, N0, adc, r_ant, beamspace=False)
+        ant, none = receive(H, s, N0, adc, _noise(H, s, r_ant), beamspace=False)
         assert none is None
         assert ant.values.shape == ref[0].shape and ant.values.dtype == ref[0].dtype
         assert ant.values.tobytes() == ref[0].tobytes(), i
@@ -370,15 +380,15 @@ def test_stacked_pilot_receive_equals_each_block_alone(bits, los):
         adc = None if bits is None else AdcConfig(
             bits, optimal_unit_step(bits), unified_step(H, 1.0, N0, bits)[:, None, None])
         gens = [np.random.default_rng([7, size, i]) for i in range(size)]
-        stacked = receive(H, pilots, N0, adc, gens)
-        antenna_only = receive(H, pilots, N0, adc,
-                               [np.random.default_rng([7, size, i]) for i in range(size)],
-                               beamspace=False)
+        stacked = receive(H, pilots, N0, adc, _noise(H, pilots, gens))
+        antenna_only = receive(H, pilots, N0, adc, _noise(
+            H, pilots, [np.random.default_rng([7, size, i]) for i in range(size)]),
+            beamspace=False)
         assert antenna_only[1] is None
         for n in range(size):
             gen = np.random.default_rng([7, size, n])
             alone = receive(H[n], pilots, N0, None if adc is None else AdcConfig(
-                bits, adc.unit_step, float(adc.step[n, 0, 0])), gen)
+                bits, adc.unit_step, float(adc.step[n, 0, 0])), _noise(H[n], pilots, gen))
             assert gen.bit_generator.state == gens[n].bit_generator.state
             for got, ref in zip(stacked + antenna_only[:1], alone + alone[:1]):
                 assert got.domain == ref.domain and got.fmt == ref.fmt
@@ -445,7 +455,7 @@ def test_receive_matches_product_first_copy(blocks, bits, beamspace, shape):
     # domains (samples without an ADC), and each Generator left in the same state.
     H, s, N0, adc, gens = _receive_case(blocks, bits, shape)
     new_gens, ref_gens = gens(), gens()
-    got = receive(H, s, N0, adc, new_gens, beamspace)
+    got = receive(H, s, N0, adc, _noise(H, s, new_gens), beamspace)
     ref = _product_first_receive(H, s, N0, adc, ref_gens, beamspace)
     assert (got[1] is None) == (ref[1] is None) == (not beamspace)
     for g, r in zip(got, ref):
@@ -463,28 +473,16 @@ def test_receive_matches_product_first_copy(blocks, bits, beamspace, shape):
         assert g_new.bit_generator.state == g_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("bits", [6, None])
-@pytest.mark.parametrize("blocks", [0, 3], ids=["one-block", "stack-of-3"])
-def test_receive_of_drawn_unit_noise_matches_receive_of_its_generator(blocks, bits):
-    # The chunk helper draws a block's unit noise ahead (unit_noise); receive
-    # given those normals makes the bytes it makes drawing them itself.
-    H, s, N0, adc, gens = _receive_case(blocks, bits, "data")
-    rngs = gens()
-    drawn = unit_noise(rngs if blocks else [rngs], np.shape(H)[:-1] + s.shape[1:])
-    got = receive(H, s, N0, adc, drawn)
-    ref = receive(H, s, N0, adc, gens())
-    for g, r in zip(got, ref):
-        assert g.values.tobytes() == r.values.tobytes()
-
-
-@pytest.mark.parametrize("blocks", [0, 3], ids=["one-block", "stack-of-3"])
-def test_receive_draws_every_noise_block_before_the_product(blocks):
-    """Every standard_normal draw precedes H @ s.  Measured with 2 cores on an
-    AVX-512 host: a 16384-normal fill takes 180 us right after an OpenBLAS
-    zgemm and 150 us otherwise, since OpenBLAS's kernels return with the upper
-    vector state dirty and numpy's normal sampler is SSE code.  The order moves
-    no byte (test_receive_matches_product_first_copy), so only this test keeps
-    a refactor from bringing the slow order back unnoticed."""
+@pytest.mark.parametrize("blocks", [1, 3], ids=["one-block", "stack-of-3"])
+def test_receive_draws_every_noise_block_before_the_product(blocks, monkeypatch):
+    """In a chunk (the LS pilots of all its blocks, then each block's data),
+    each receive's unit normals are drawn (unit_noise) just before it forms
+    H @ s.  Measured with 2 cores on an AVX-512 host: a 16384-normal fill
+    takes 180 us right after an OpenBLAS zgemm and 150 us otherwise, since
+    OpenBLAS's kernels return with the upper vector state dirty and numpy's
+    normal sampler is SSE code.  The order moves no byte
+    (test_receive_matches_product_first_copy), so only this test keeps a
+    refactor from bringing the slow order back unnoticed."""
     events = []
 
     class RecordingMatrix(np.ndarray):
@@ -492,12 +490,17 @@ def test_receive_draws_every_noise_block_before_the_product(blocks):
             events.append("product")
             return np.asarray(self) @ other
 
-    class RecordingGenerator(np.random.Generator):
-        def standard_normal(self, *args, **kwargs):
-            events.append("draw")
-            return super().standard_normal(*args, **kwargs)
+    def drawn(rngs, shape):
+        noise = unit_noise(rngs, shape)
+        events.append("draw")
+        return noise
 
-    H, s, N0, adc, _ = _receive_case(blocks, 6, "data")
-    gens = [RecordingGenerator(np.random.PCG64([11, n])) for n in range(blocks or 1)]
-    receive(H.view(RecordingMatrix), s, N0, adc, gens if blocks else gens[0])
-    assert events == ["draw"] * len(gens) + ["product"]
+    def recorded_receive(H, *args):
+        return receive(np.asarray(H).view(RecordingMatrix), *args)
+
+    monkeypatch.setattr(harness, "unit_noise", drawn)
+    monkeypatch.setattr(harness, "receive", recorded_receive)
+    cfg = SimConfig(scenario=ScenarioConfig(num_antennas=64, num_ues=8), algorithm="almmse",
+                    csi_mode="ls", adc_bits=6, arithmetic="fixed")
+    harness._sim_chunk((cfg,), 6.0, range(blocks))
+    assert events == ["draw", "product"] * (1 + blocks)

@@ -677,7 +677,7 @@ def helpers(monkeypatch):
             super().__init__()
 
     def force(on):
-        monkeypatch.setattr(harness, "_spare_core", lambda workers: on)
+        monkeypatch.setattr(harness, "_spare_core", lambda processes: on)
 
     monkeypatch.setattr(_helper, "Helper", Counted)
     force.started = started
@@ -761,10 +761,29 @@ def test_no_helper_outlives_a_public_call(helpers):
     assert len(helpers.started) > len(calls)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_helper_only_when_a_round_runs_here_with_a_second_core(cores, helpers, monkeypatch):
+    # The helper is on when the round runs in this process alone (one block
+    # at any worker count, or one worker) and the affinity mask holds two
+    # cores or more; never in the workers of a pool.
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert [harness._spare_core(n) for n in (1, 2, 4)] == [cores >= 2, False, False]
+    cfg = _cfg(algorithm="almmse", coherence_len=8)
+    for workers, n in ((1, 3), (4, 1), (2, 4)):
+        helpers.started.clear()
+        serial = harness._map_blocks((cfg,), 6.0, range(n))
+        pooled = harness._map_blocks((dataclasses.replace(cfg, workers=workers),), 6.0, range(n))
+        assert pooled == serial
+        alone = min(n, workers) == 1
+        assert len(helpers.started) == (1 + alone) * (cores >= 2), (workers, n)
+        assert not getattr(harness._scope, "spare_core", False)
+    assert multiprocessing.active_children() == []
+
+
 def test_pooled_call_after_a_serial_call_with_helpers(monkeypatch):
     # Helpers at one worker, as on two cores, then a pool forked from the same
     # process: no helper is alive at the fork, and the points match.
-    monkeypatch.setattr(harness, "_spare_core", lambda workers: workers == 1)
+    monkeypatch.setattr(harness, "_spare_core", lambda processes: processes == 1)
     baseline = threading.active_count()
     cfg = _cfg(algorithm="eomp", delta=0.5)
     serial = run_ber_curve(cfg, [0.0, 6.0])

@@ -9,7 +9,7 @@ from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
                                 quantize_filter)
 from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
                                 ls_estimate, optimal_unit_step, perfect_csi, receive,
-                                unified_step)
+                                unified_step, unit_noise)
 from beamspace.modem import map_bits
 from beamspace.numerics import (ANTENNA_W_FMT, BEAMSPACE_W_FMT, BEAMSPACE_Y_FMT,
                                 ESTIMATE_FMT, FixedFormat, FxComplexArray)
@@ -230,7 +230,7 @@ def _harness_block(i, T):
         Hb = dft_unitary(Ha)
     else:
         pilots = dft_pilots(8, 1.0)
-        ybar_p, yb_p = receive(H, pilots, N0, adc, rng)
+        ybar_p, yb_p = receive(H, pilots, N0, adc, unit_noise([rng], H.shape))
         Ha = ls_estimate(ybar_p.values, pilots, 1.0)
         Hb = ls_estimate(yb_p.values, pilots, 1.0)
     rho = N0 / adc.step ** 2
@@ -239,7 +239,8 @@ def _harness_block(i, T):
             else lmmse_filter(Ha if antenna else Hb, rho, domain))
     eq = quantize_filter(filt, ANTENNA_W_FMT if antenna else BEAMSPACE_W_FMT)
     S = map_bits(rng.integers(0, 2, size=(T or 1, 8, 4))).T
-    ybar, yb = receive(H, S if T else S[:, 0], N0, adc, rng)
+    s = S if T else S[:, 0]
+    ybar, yb = receive(H, s, N0, adc, unit_noise([rng], H.shape[:1] + s.shape[1:]))
     return eq, ybar if antenna else yb, rng
 
 

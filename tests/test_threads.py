@@ -103,10 +103,10 @@ H = rng.standard_normal((64, 8)) + 0j
 s = rng.standard_normal((8, 128)) + 0j
 adc = beamspace.AdcConfig(6, 0.1, 0.5)
 for _ in range(20):
-    beamspace.receive(H, s, 0.1, adc, rng)
+    beamspace.receive(H, s, 0.1, adc, beamspace.unit_noise([rng], (64, 128)))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(100):
-    beamspace.receive(H, s, 0.1, adc, rng)
+    beamspace.receive(H, s, 0.1, adc, beamspace.unit_noise([rng], (64, 128)))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 '''
 

@@ -39,9 +39,19 @@ class ScenarioConfig:
                      "decay_db_per_path"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        for name in ("power_ctrl_db", "min_sep_deg"):
+        for name in ("power_ctrl_db", "min_sep_deg", "max_placement_tries"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        # The linear powers a draw forms: each and their sum finite and positive.
+        for name, db in (("power_ctrl_db", [self.power_ctrl_db, -self.power_ctrl_db]),
+                         ("los_scatter_db", [self.los_scatter_db]),
+                         ("decay_db_per_path",
+                          -self.decay_db_per_path * np.arange(self.num_paths_nlos))):
+            with np.errstate(over="ignore"):
+                powers = 10.0 ** (np.asarray(db) / 10.0)
+            if not (powers.min() > 0.0 and np.isfinite(powers.sum())):
+                raise ValueError(f"{name} = {getattr(self, name)} gives a linear power"
+                                 " that is not finite and positive")
         if self.sector_deg <= 0:
             raise ValueError("sector_deg must be positive")
         if self.num_ues > self.num_antennas:

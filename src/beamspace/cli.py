@@ -12,7 +12,6 @@ import argparse
 import csv
 import itertools
 import os
-import re
 import sys
 import typing
 from dataclasses import fields
@@ -51,7 +50,6 @@ def _config_keys() -> tuple[dict, set]:
 _CONFIG_KEYS, _OPTIONAL_KEYS = _config_keys()
 # Config fields some detector sweeps in ``pareto``; each gets a grid flag.
 _SWEPT = sorted({name for det in DETECTORS.values() for name in det.params})
-_GRID_FLAGS = {"--snr-grid-db", *(f"--{name.replace('_', '-')}-grid" for name in _SWEPT)}
 
 
 def _parse_value(key: str, raw: str, where: str = ""):
@@ -276,11 +274,13 @@ def main(argv=None) -> int:
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_gen_channels)
 
-    # argparse takes a grid that starts with a negative value (-4,-2,0) for a flag
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(1, len(argv))):
-        if argv[i - 1] in _GRID_FLAGS and re.match(r"-\.?\d", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    # Every long option but --help takes one value, also one starting with '-'
+    # (-1e0, -4,-2) that argparse would read as a flag: pass --flag=value.
+    tokens, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for token in tokens:
+        if token.startswith("--") and "=" not in token and token != "--help":
+            token = "=".join([token, *itertools.islice(tokens, 1)])
+        argv.append(token)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -78,10 +78,10 @@ def optimal_unit_step(bits: int) -> float:
     return _UNIT_STEPS[bits - 1]
 
 
-def unified_step(H: np.ndarray, Es: float, N0: float, bits: int):
-    """Worst-antenna step size: max_b step1 * sqrt((Es ||h_b^r||^2 + N0) / 2);
-    one per matrix, shaped (N,), for a stack (N, B, U)."""
-    row_var = Es * np.sum(np.abs(np.asarray(H)) ** 2, axis=-1) + N0
+def unified_step(H: np.ndarray, N0: float, bits: int):
+    """Worst-antenna step size for unit-energy symbols: max_b step1 *
+    sqrt((||h_b^r||^2 + N0) / 2); one per matrix, (N,) for a stack (N, B, U)."""
+    row_var = np.sum(np.abs(np.asarray(H)) ** 2, axis=-1) + N0
     return optimal_unit_step(bits) * np.sqrt(row_var.max(axis=-1) / 2.0)
 
 
@@ -158,17 +158,16 @@ def receive(H: np.ndarray, s: np.ndarray, N0: float, adc: AdcConfig | None,
 
 
 @lru_cache(maxsize=16)
-def dft_pilots(num_ues: int, Es: float) -> np.ndarray:
-    """Orthogonal pilot matrix: sqrt(Es) times the unitary U x U DFT.
+def dft_pilots(num_ues: int) -> np.ndarray:
+    """Orthogonal pilot matrix of unit symbol energy: the unitary U x U DFT.
 
-    Built once per (num_ues, Es) and returned read-only."""
-    F = np.fft.fft(np.eye(num_ues)) / np.sqrt(num_ues)
-    pilots = np.sqrt(Es) * F
+    Built once per num_ues and returned read-only."""
+    pilots = np.fft.fft(np.eye(num_ues)) / np.sqrt(num_ues)
     pilots.flags.writeable = False
     return pilots
 
 
-def ls_estimate(y_pilot_values: np.ndarray, pilots: np.ndarray, Es: float) -> np.ndarray:
+def ls_estimate(y_pilot_values: np.ndarray, pilots: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate from U pilot-slot observations.
 
     y_pilot_values has shape (B, U), or (N, B, U) for a stack of blocks, with
@@ -179,7 +178,7 @@ def ls_estimate(y_pilot_values: np.ndarray, pilots: np.ndarray, Es: float) -> np
     y = np.asarray(y_pilot_values)
     if y.shape[-1] != pilots.shape[0]:
         raise ValueError("pilot observation count does not match pilot length")
-    return y @ pilots.conj().T / Es
+    return y @ pilots.conj().T
 
 
 def perfect_csi(H: np.ndarray, step) -> np.ndarray:

@@ -114,7 +114,6 @@ class SimConfig:
     min_bits_per_point: int = 1_000_000
     min_errors_per_point: int = 100
     max_bits_per_point: int | None = None   # defaults to 4x min_bits_per_point
-    Es: float = 1.0
     seed: int = 0
     arithmetic: str = "fixed"           # 'float' | 'fixed'
     workers: int = 1
@@ -127,8 +126,8 @@ class SimConfig:
         return DETECTORS[self.algorithm]
 
     def noise_power(self, snr_db: float) -> float:
-        """N0 at ``snr_db``: Es / N0 is the SNR."""
-        return self.Es * 10.0 ** (-snr_db / 10.0)
+        """N0 at ``snr_db``: symbols have unit energy, so 1 / N0 is the SNR."""
+        return 10.0 ** (-snr_db / 10.0)
 
     def validate(self, *snrs_db: float) -> None:
         """ConfigError unless the config is consistent and each given SNR
@@ -141,8 +140,8 @@ class SimConfig:
             except OverflowError:
                 N0 = math.inf
             if not (math.isfinite(N0) and N0 > 0):
-                raise ConfigError(f"SNR {snr_db} dB and Es {self.Es} give noise power"
-                                  f" N0 = {N0}; it must be finite and positive")
+                raise ConfigError(f"SNR {snr_db} dB gives noise power N0 = {N0};"
+                                  " it must be finite and positive")
         params = self.detector.params
         if any(getattr(self, name) is None for name in params):
             raise ConfigError(f"{self.algorithm} requires {' and '.join(params)}")
@@ -230,18 +229,18 @@ def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool, map_fn) 
     N0 = cfg.noise_power(snr_db)
     adc = None if cfg.adc_bits is None else AdcConfig(
         cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
-        unified_step(H, cfg.Es, N0, cfg.adc_bits)[:, None, None])
+        unified_step(H, N0, cfg.adc_bits)[:, None, None])
     steps = [1.0] * len(rngs) if adc is None else adc.step.ravel().tolist()
-    scales = [cfg.Es * step ** 2 for step in steps]     # float pow
+    scales = [step ** 2 for step in steps]              # float pow
     if 0.0 in scales:
-        raise ConfigError(f"Es {cfg.Es} is too small: Es * step^2 underflows to 0")
+        raise ConfigError(f"the ADC step^2 underflows to 0 at N0 = {N0}")
     chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
              "rho": np.array([N0 / scale for scale in scales]),
              "blocks": [{"rng": r, "H": h, "N0": N0, "beamspace": beamspace,
                          "adc": adc and AdcConfig(adc.bits, adc.unit_step, step)}
                         for r, h, step in zip(rngs, H, steps)]}
     if cfg.csi_mode == "ls":
-        chunk["pilots"] = dft_pilots(H.shape[-1], cfg.Es)
+        chunk["pilots"] = dft_pilots(H.shape[-1])
         chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc,
                                     unit_noise(rngs, H.shape), beamspace)
     return chunk
@@ -253,7 +252,7 @@ def _estimates(cfg: SimConfig, chunk: dict, domain: str, built: dict) -> np.ndar
     if domain not in built:
         if cfg.csi_mode == "ls":
             pilot_rx = chunk["pilot_rx"][_DOMAINS.index(domain)].values
-            built[domain] = ls_estimate(pilot_rx, chunk["pilots"], cfg.Es)
+            built[domain] = ls_estimate(pilot_rx, chunk["pilots"])
         elif domain == "antenna":
             built[domain] = perfect_csi(chunk["H"], chunk["step"])
         else:
@@ -293,7 +292,7 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     ``_sim_chunk((cfg,), snr_db, [block_index])[0]``.
     """
     if "rx" not in shared:
-        S = map_bits(shared["tx_bits"], cfg.Es).T  # (U, T)
+        S = map_bits(shared["tx_bits"]).T  # (U, T)
         shared["rx"] = receive(shared["H"], S, shared["N0"], shared["adc"],
                                shared.pop("noise"), shared["beamspace"])
     det = cfg.detector
@@ -314,7 +313,7 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     else:
         shat = exact_mvm_fixed(eq, yvec).values
 
-    rx_bits = demap_hard(shat.T, cfg.Es)  # (T, U, 4)
+    rx_bits = demap_hard(shat.T)  # (T, U, 4)
     errors = int(np.sum(rx_bits != tx_bits))
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
@@ -327,32 +326,29 @@ def _data_draws(coherence_len: int, shared: dict) -> tuple:
     return bits, unit_noise([rng], (B, coherence_len))
 
 
-def _spare_core(processes: int) -> bool:
-    """Whether a round run by ``processes`` processes leaves a core for a
-    chunk's helper thread: it runs in this process alone, and the affinity
-    mask holds a second core.  (The one case measured faster; a CPU quota
-    is not seen.)"""
+def _spare_core() -> bool:
+    """Whether the affinity mask holds a second core, for the helper thread of
+    a round run in this process alone (a CPU quota is not seen)."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return processes == 1 and cores >= 2
+    return cores >= 2
 
 
-def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
+def _sim_chunk(cfgs: tuple, snr_db: float, indices, spare_core=False) -> list[BlockResult]:
     """Blocks ``indices`` of a group of configs, which agree on every field
     but the algorithm and its params: one BlockResult per config and block,
     block by block in the group's order.
 
     Three passes (module docstring): ``_front_end`` and ``_build_filters``
     once over the chunk, then per block ``_data_draws`` and each config's
-    ``_sim_block``.  When ``_map_blocks`` found a spare core for the round,
-    a ``_helper.Helper`` shares the channel's path superpositions and runs
-    the data draws.  The chunk ``[block_index]`` gives the results of that
-    block in any chunk.
+    ``_sim_block``.  With ``spare_core``, a ``_helper.Helper`` shares the
+    channel's path superpositions and runs the data draws.  The chunk
+    ``[block_index]`` gives the results of that block in any chunk.
     """
     cfg = cfgs[0]
     beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
     helper = None
-    if getattr(_scope, "spare_core", False):
+    if spare_core:
         from ._helper import Helper     # a process without a spare core never loads it
         helper = Helper()
     try:
@@ -373,11 +369,9 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
 
 
 # Per thread: the public call in progress (``open``), its process pool
-# (``pool``, None until its first parallel round), BER points by (config,
-# SNR) (``points``) and whether the round in progress runs here with a core
-# to spare (``spare_core``, set by _map_blocks, read by _sim_chunk).  Module
-# state, not an argument, so that run_ber_point, _map_blocks, _sim_chunk and
-# a pool's ``submit`` keep the signatures that callers rebinding them rely on.
+# (``pool``, None until its first parallel round) and BER points by (config,
+# SNR) (``points``).  Module state, not an argument, so that run_ber_point
+# and _map_blocks keep the signatures that callers rebinding them rely on.
 _scope = threading.local()
 
 
@@ -407,7 +401,6 @@ def _pool_scope():
         yield
     finally:
         pool, _scope.pool, _scope.points, _scope.open = _scope.pool, None, None, False
-        _scope.spare_core = False
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
@@ -427,11 +420,12 @@ def _split(indices: list, count: int) -> list[list]:
     return [indices[n * j // count:n * (j + 1) // count] for j in range(count)]
 
 
-def _sim_share(cfgs: tuple, snr_db: float, indices: list) -> list[BlockResult]:
+def _sim_share(cfgs: tuple, snr_db: float, indices: list, spare_core=False) -> list[BlockResult]:
     """Blocks ``indices`` of a group, run as the fewest chunks of near-equal
-    size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``)."""
+    size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``, given
+    ``spare_core``)."""
     chunks = _split(indices, -(-len(indices) // _CHUNK_BLOCKS))
-    return [res for chunk in chunks for res in _sim_chunk(cfgs, snr_db, chunk)]
+    return [res for chunk in chunks for res in _sim_chunk(cfgs, snr_db, chunk, spare_core)]
 
 
 @_pool_scope()
@@ -443,18 +437,17 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     one contiguous share of near-equal size per worker, ``min(n, workers)``
     tasks for a pool of as many processes, and each task runs its share as
     chunks of at most _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the
-    round is one share, run in this process.  Whether its chunks start a
-    helper thread follows from the number of processes that run the round
-    (``_spare_core``).  Before the first pool of the process forks, the
-    pool machinery (``ProcessPoolExecutor``) and the numpy submodules that
-    the block pipeline loads lazily are imported here, so that no worker
-    imports them again and a process that never pools loads none of them.
+    round is one share, run in this process, whose chunks start a helper
+    thread if ``_spare_core``; pool workers start none.  Before the first
+    pool of the process forks, the pool machinery (``ProcessPoolExecutor``)
+    and the numpy submodules that the block pipeline loads lazily are
+    imported here, so that no worker imports them again and a process that
+    never pools loads none of them.
     """
     indices = list(indices)
     tasks = min(len(indices), cfgs[0].workers)
-    _scope.spare_core = _spare_core(tasks)          # False whenever a pool forks
     if tasks <= 1:
-        return _sim_share(cfgs, snr_db, indices)
+        return _sim_share(cfgs, snr_db, indices, _spare_core())
     if _scope.pool is None:
         import numpy.fft                # once per process: every fork inherits
         import numpy.random             # these and the pool's own imports

@@ -75,6 +75,10 @@ def test_bad_config_key_fails_cleanly(tmp_path, capsys):
     rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    # symbols have unit energy: there is no energy key
+    cfg.write_text("Es = 2\n")
+    rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
+    assert f"{cfg}:1: unknown key 'Es'" in _one_error_line(rc, capsys)
 
 
 def test_bad_algorithm_fails_cleanly(capsys):
@@ -138,12 +142,27 @@ def test_out_of_range_scenario_field_fails_cleanly(flags, field, capsys):
     assert field in err
 
 
-def test_snr_grid_may_start_negative(tmp_path):
+def test_snr_grid_may_start_negative(tmp_path, capsys):
     out = tmp_path / "ber.csv"
     rc = main(["ber", *COMMON, "--algorithm", "almmse", "--snr-grid-db", "-4,-2",
                "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().strip().splitlines()) == 3
+    # so may any other value, also in exponent form
+    rc = main(["activity", *COMMON, *CSPADE, "--snr-db", "-1e0", "--num-blocks", "2",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[0] == "bin_lo,bin_hi,count"
+    rc = main(["snrop", *COMMON, "--algorithm", "almmse", "--target-ber", "1e-1",
+               "--snr-lo-db", "-4e0", "--snr-hi-db", "20", "--out", str(out)])
+    assert rc == 0
+    assert float(out.read_text().splitlines()[1]) >= -4.0
+    rc = main(["ber", *COMMON, "--algorithm", "cspade", "--tau-w", "-1e-3", "--tau-y", "6",
+               "--snr-grid-db", "0"])
+    assert "thresholds must be nonnegative" in _one_error_line(rc, capsys)
+    with pytest.raises(SystemExit) as exited:           # --help takes no value
+        main(["ber", "--help", "--seed", "1"])
+    assert exited.value.code == 0 and "--snr-grid-db" in capsys.readouterr().out
 
 
 def test_pareto_grid_may_start_negative(capsys):
@@ -276,10 +295,14 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["ber", "--snr-grid-db", "0", "--min-errors-per-point", "-5"], "min_errors_per_point"),
     (["ber", "--snr-grid-db", "0", "--arithmetic", "exact"], "arithmetic"),
     (["ber", "--snr-grid-db", "0", "--coherence-len", "0"], "coherence_len"),
-    # at 0 dB, Es below about 1e-161 makes Es * step^2 underflow to 0 in rho;
-    # at workers=2 the error is raised in a forked pool worker
-    (["ber", "--snr-grid-db", "0", "--Es", "1e-170"], "Es 1e-170"),
-    (["ber", "--snr-grid-db", "0", "--Es", "1e-170", "--workers", "2"], "Es 1e-170"),
+    # dB values whose linear powers overflow (or, at 4000 dB, only at some
+    # seeds' power-control offsets), and a negative placement budget
+    (["ber", "--snr-grid-db", "0", "--los-scatter-db", "1e5"], "los_scatter_db"),
+    (["ber", "--snr-grid-db", "0", "--power-ctrl-db", "4000"], "power_ctrl_db"),
+    (["ber", "--snr-grid-db", "0", "--power-ctrl-db", "1e308"], "power_ctrl_db"),
+    (["ber", "--snr-grid-db", "0", "--decay-db-per-path", "-3000", "--los", "0"],
+     "decay_db_per_path"),
+    (["ber", "--snr-grid-db", "0", "--max-placement-tries", "-1"], "max_placement_tries"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])

@@ -144,13 +144,13 @@ def _harness_instance(i):
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
                       rng).H
     N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
-    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, 1.0, N0, 6))
+    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, N0, 6))
     if rng.integers(2):
         Hb = dft_unitary(perfect_csi(H, adc.step))
     else:
-        pilots = dft_pilots(8, 1.0)
+        pilots = dft_pilots(8)
         _, yb = receive(H, pilots, N0, adc, unit_noise([rng], H.shape))
-        Hb = ls_estimate(yb.values, pilots, 1.0)
+        Hb = ls_estimate(yb.values, pilots)
     return Hb, N0 / adc.step ** 2
 
 

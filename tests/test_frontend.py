@@ -89,24 +89,24 @@ def test_unit_step_out_of_range():
 
 
 def test_unified_step_single_antenna():
-    # Es*|h|^2 + N0 = 2 makes the row variance term exactly 1.
+    # |h|^2 + N0 = 2 makes the row variance term exactly 1.
     H = np.array([[1.0 + 0j]])
-    assert abs(unified_step(H, 1.0, 1.0, 6) - optimal_unit_step(6)) < 1e-12
+    assert abs(unified_step(H, 1.0, 6) - optimal_unit_step(6)) < 1e-12
 
 
 def test_unified_step_equal_rows():
     H = np.ones((4, 2), dtype=complex)
-    one_row = unified_step(H[:1], 1.0, 0.5, 4)
-    assert abs(unified_step(H, 1.0, 0.5, 4) - one_row) < 1e-12
+    one_row = unified_step(H[:1], 0.5, 4)
+    assert abs(unified_step(H, 0.5, 4) - one_row) < 1e-12
 
 
 def test_unified_step_matches_row_oracle():
     rng = np.random.default_rng(5)
     H = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    Es, N0, m = 1.3, 0.2, 5
-    ref = max(optimal_unit_step(m) * np.sqrt((Es * np.sum(np.abs(H[b]) ** 2) + N0) / 2)
+    N0, m = 0.2, 5
+    ref = max(optimal_unit_step(m) * np.sqrt((np.sum(np.abs(H[b]) ** 2) + N0) / 2)
               for b in range(4))
-    assert abs(unified_step(H, Es, N0, m) - ref) < 1e-12
+    assert abs(unified_step(H, N0, m) - ref) < 1e-12
 
 
 def test_unified_step_on_a_stack_equals_each_matrix_alone():
@@ -118,20 +118,20 @@ def test_unified_step_on_a_stack_equals_each_matrix_alone():
         H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=bool(los)), gens).H
         for bits in (1, 6, 8):
             N0 = float(rng.uniform(0.01, 4.0))
-            steps = unified_step(H, 1.0, N0, bits)
+            steps = unified_step(H, N0, bits)
             assert steps.shape == (8,)
             for n in range(8):
                 row_var = np.sum(np.abs(H[n]) ** 2, axis=1) + N0
                 ref = optimal_unit_step(bits) * float(np.sqrt(row_var.max() / 2.0))
-                assert steps[n] == unified_step(H[n], 1.0, N0, bits) == ref
+                assert steps[n] == unified_step(H[n], N0, bits) == ref
 
 
 def test_unified_step_scale_equivariance():
     rng = np.random.default_rng(6)
     H = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     c = 3.7
-    assert np.isclose(unified_step(c * H, 1.0, c * c * 0.4, 6),
-                      c * unified_step(H, 1.0, 0.4, 6))
+    assert np.isclose(unified_step(c * H, c * c * 0.4, 6),
+                      c * unified_step(H, 0.4, 6))
 
 
 def test_midrise_level_map():
@@ -200,7 +200,7 @@ def _small_setup(seed=0):
                          np.random.default_rng(seed))
     H = scen.H
     N0 = 0.1
-    step = unified_step(H, 1.0, N0, 6)
+    step = unified_step(H, N0, 6)
     adc = AdcConfig(6, optimal_unit_step(6), step)
     return H, N0, adc
 
@@ -248,23 +248,23 @@ def test_unquantized_receive():
 def test_ls_noiseless_unquantized_is_exact():
     rng = np.random.default_rng(8)
     H = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
-    P = dft_pilots(4, 1.0)
+    P = dft_pilots(4)
     Y = H @ P  # noiseless observation
-    assert np.allclose(ls_estimate(Y, P, 1.0), H, atol=1e-12)
+    assert np.allclose(ls_estimate(Y, P), H, atol=1e-12)
 
 
 def test_pilots_are_orthogonal():
-    P = dft_pilots(8, 2.0)
-    assert np.allclose(P @ P.conj().T, 2.0 * np.eye(8), atol=1e-12)
+    P = dft_pilots(8)
+    assert np.allclose(P @ P.conj().T, np.eye(8), atol=1e-12)
 
 
 def test_pilots_are_built_once_and_read_only():
-    P = dft_pilots(8, 2.0)
-    assert dft_pilots(8, 2.0) is P and dft_pilots(4, 2.0) is not P
+    P = dft_pilots(8)
+    assert dft_pilots(8) is P and dft_pilots(4) is not P
     assert not P.flags.writeable
     with pytest.raises(ValueError):
         P[0, 0] = 0.0
-    ref = np.sqrt(2.0) * (np.fft.fft(np.eye(8)) / np.sqrt(8))
+    ref = np.fft.fft(np.eye(8)) / np.sqrt(8)
     assert P.tobytes() == ref.tobytes()
 
 
@@ -277,13 +277,12 @@ def test_ls_estimate_golden_relative_error():
     scen = draw_scenario(ScenarioConfig(num_antennas=32, num_ues=4),
                          np.random.default_rng(42))
     H = scen.H
-    Es = 1.0
-    N0 = Es * 10 ** (-30 / 10)
-    step = unified_step(H, Es, N0, 6)
+    N0 = 10 ** (-30 / 10)
+    step = unified_step(H, N0, 6)
     adc = AdcConfig(6, optimal_unit_step(6), step)
-    P = dft_pilots(4, Es)
+    P = dft_pilots(4)
     ybar, _ = receive(H, P, N0, adc, _noise(H, P, np.random.default_rng(42)))
-    Ha = ls_estimate(ybar.values, P, Es)
+    Ha = ls_estimate(ybar.values, P)
     ref = H / step
     rel = np.linalg.norm(Ha - ref) / np.linalg.norm(ref)
     assert abs(rel - LS_REL_ERR_GOLDEN) < 1e-9
@@ -340,7 +339,7 @@ def test_receive_matches_frozen_copy():
         s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         N0 = float(rng.uniform(0.01, 4.0))
         adc = AdcConfig(bits, optimal_unit_step(bits),
-                        unified_step(H, 1.0, N0, bits)) if bits else None
+                        unified_step(H, N0, bits)) if bits else None
         r_new, r_ref = np.random.default_rng([i, 1]), np.random.default_rng([i, 1])
         got = receive(H, s, N0, adc, _noise(H, s, r_new))
         ref = _frozen_receive(H, s, N0, adc, r_ref)
@@ -373,12 +372,12 @@ def test_stacked_pilot_receive_equals_each_block_alone(bits, los):
     # receive alone: codes in both domains (samples without an ADC), and
     # each Generator's state after.
     cfg = ScenarioConfig(num_antennas=64, num_ues=8, los=los)
-    pilots = dft_pilots(8, 1.0)
+    pilots = dft_pilots(8)
     for size in (1, 3, 8):
         H = draw_scenario(cfg, [np.random.default_rng([size, i]) for i in range(size)]).H
         N0 = 10.0 ** (-size / 10.0)
         adc = None if bits is None else AdcConfig(
-            bits, optimal_unit_step(bits), unified_step(H, 1.0, N0, bits)[:, None, None])
+            bits, optimal_unit_step(bits), unified_step(H, N0, bits)[:, None, None])
         gens = [np.random.default_rng([7, size, i]) for i in range(size)]
         stacked = receive(H, pilots, N0, adc, _noise(H, pilots, gens))
         antenna_only = receive(H, pilots, N0, adc, _noise(
@@ -429,13 +428,13 @@ def _receive_case(blocks, bits, shape):
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8),
                       [np.random.default_rng([3, n]) for n in range(blocks or 1)]).H
     if shape == "pilots":
-        s = dft_pilots(8, 1.0)                                      # U x U
+        s = dft_pilots(8)                                           # U x U
     else:
         rng = np.random.default_rng(5)                              # U x T symbols
         s = (rng.choice([-3, -1, 1, 3], (8, 128))
              + 1j * rng.choice([-3, -1, 1, 3], (8, 128))) / np.sqrt(10.0)
     N0 = 0.3
-    step = unified_step(H, 1.0, N0, bits or 1)[:, None, None]
+    step = unified_step(H, N0, bits or 1)[:, None, None]
     if not blocks:
         H, step = H[0], float(step[0, 0, 0])
     adc = AdcConfig(bits, optimal_unit_step(bits), step) if bits else None

@@ -496,7 +496,7 @@ def test_threshold_grid_builds_one_filter_per_block(monkeypatch):
     monkeypatch.setattr(harness, "lmmse_filter", counting("lmmse_filter", lambda H, *_: stack(H)))
     monkeypatch.setattr(harness, "quantize_filter",
                         counting("quantize_filter", lambda eq, *_: stack(eq.W)))
-    monkeypatch.setattr(harness, "_sim_chunk", counting("_sim_chunk", lambda c, s, i: len(i)))
+    monkeypatch.setattr(harness, "_sim_chunk", counting("_sim_chunk", lambda c, s, i, *_: len(i)))
     monkeypatch.setattr(harness, "_sim_block", counting("_sim_block", lambda *_: 1))
     cfg = _cfg(algorithm="cspade", snr_lo_db=-5.0, snr_hi_db=25.0)
     grid = [ThresholdPair(w, y) for w in (0.01, 0.03) for y in (2.0, 6.0)]
@@ -530,7 +530,7 @@ def test_sim_chunk_equals_sim_group_blocks(los, csi_mode, arithmetic, adc_bits):
 
 
 # Gray bit pair of each 16-QAM rail level -3, -1, +1, +3 (in units of
-# sqrt(Es / 10)), and the bit errors of deciding level j when i was sent.
+# sqrt(1 / 10)), and the bit errors of deciding level j when i was sent.
 GRAY = np.array([[0, 0], [0, 1], [1, 1], [1, 0]])
 BIT_ERRORS = (GRAY[:, None] != GRAY[None, :]).sum(-1)
 
@@ -542,15 +542,14 @@ def test_float_chain_matches_exact_error_expectation(alg, snr_db, monkeypatch):
     # symbols s and its filter W outputs W H s (or W F H s in beamspace)
     # plus circular Gaussian noise of variance N0 ||w_u||^2 / 2 per rail.
     # Each rail's bit errors, 0, 1 or 2, then have an exact distribution
-    # from Phi at the demap thresholds 0 and +-2 sqrt(Es / 10), with
-    # N0 = Es 10^(-SNR / 10) taken from the SNR alone.  The simulated count
+    # from Phi at the demap thresholds 0 and +-2 sqrt(1 / 10), with
+    # N0 = 10^(-SNR / 10) taken from the SNR alone.  The simulated count
     # must pass a z-test against it.  The rails are independent; UEs share
     # noise through W, so their covariance is bounded by Cauchy-Schwarz,
     # which overstates the variance and keeps the test conservative.
-    Es = 2.0
     cfg = _cfg(scenario=ScenarioConfig(num_antennas=16, num_ues=2, los=False),
                algorithm=alg, delta=0.25, adc_bits=None, arithmetic="float",
-               csi_mode="perfect", Es=Es, min_bits_per_point=400_000,
+               csi_mode="perfect", min_bits_per_point=400_000,
                min_errors_per_point=0)
     sent, filters = [], []
     receive = harness.receive
@@ -573,14 +572,14 @@ def test_float_chain_matches_exact_error_expectation(alg, snr_db, monkeypatch):
     point = run_ber_point(cfg, snr_db)
     assert len(filters) == len(sent) == point.bits // (2 * 4 * cfg.coherence_len)
 
-    N0 = Es * 10.0 ** (-snr_db / 10.0)
-    unit = np.sqrt(Es / 10.0)
+    N0 = 10.0 ** (-snr_db / 10.0)
+    unit = np.sqrt(1.0 / 10.0)
     thresholds = np.array([-2.0, 0.0, 2.0]) * unit
     expected = variance = 0.0
     for W, (H, s) in zip(filters, sent):
         Hd = H if DETECTORS[alg].domain == "antenna" else np.fft.fft(H, axis=0, norm="ortho")
         if not DETECTORS[alg].omp:              # the LMMSE regularization, too
-            ref = np.linalg.solve(Hd.conj().T @ Hd + N0 / Es * np.eye(H.shape[1]),
+            ref = np.linalg.solve(Hd.conj().T @ Hd + N0 * np.eye(H.shape[1]),
                                   Hd.conj().T)
             np.testing.assert_allclose(W, ref, rtol=0, atol=1e-12)
         levels = np.stack([s.real, s.imag], -1) / unit      # (U, T, rail), on the grid
@@ -604,9 +603,9 @@ def test_map_blocks_cuts_rounds_into_chunks(monkeypatch):
     chunks = []
     inner = harness._sim_chunk
 
-    def recorded(cfgs, snr_db, indices):
+    def recorded(cfgs, snr_db, indices, *args):
         chunks.append(list(indices))
-        return inner(cfgs, snr_db, indices)
+        return inner(cfgs, snr_db, indices, *args)
 
     monkeypatch.setattr(harness, "_sim_chunk", recorded)
     cfg = _cfg(algorithm="almmse", coherence_len=8)
@@ -677,7 +676,7 @@ def helpers(monkeypatch):
             super().__init__()
 
     def force(on):
-        monkeypatch.setattr(harness, "_spare_core", lambda processes: on)
+        monkeypatch.setattr(harness, "_spare_core", lambda: on)
 
     monkeypatch.setattr(_helper, "Helper", Counted)
     force.started = started
@@ -767,7 +766,7 @@ def test_helper_only_when_a_round_runs_here_with_a_second_core(cores, helpers, m
     # at any worker count, or one worker) and the affinity mask holds two
     # cores or more; never in the workers of a pool.
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    assert [harness._spare_core(n) for n in (1, 2, 4)] == [cores >= 2, False, False]
+    assert harness._spare_core() == (cores >= 2)
     cfg = _cfg(algorithm="almmse", coherence_len=8)
     for workers, n in ((1, 3), (4, 1), (2, 4)):
         helpers.started.clear()
@@ -776,14 +775,13 @@ def test_helper_only_when_a_round_runs_here_with_a_second_core(cores, helpers, m
         assert pooled == serial
         alone = min(n, workers) == 1
         assert len(helpers.started) == (1 + alone) * (cores >= 2), (workers, n)
-        assert not getattr(harness._scope, "spare_core", False)
     assert multiprocessing.active_children() == []
 
 
 def test_pooled_call_after_a_serial_call_with_helpers(monkeypatch):
     # Helpers at one worker, as on two cores, then a pool forked from the same
     # process: no helper is alive at the fork, and the points match.
-    monkeypatch.setattr(harness, "_spare_core", lambda processes: processes == 1)
+    monkeypatch.setattr(harness, "_spare_core", lambda: True)
     baseline = threading.active_count()
     cfg = _cfg(algorithm="eomp", delta=0.5)
     serial = run_ber_curve(cfg, [0.0, 6.0])

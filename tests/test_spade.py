@@ -223,16 +223,16 @@ def _harness_block(i, T):
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
                       rng).H
     N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
-    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, 1.0, N0, 6))
+    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, N0, 6))
     antenna = i % 4 == 3
     if rng.integers(2):
         Ha = perfect_csi(H, adc.step)
         Hb = dft_unitary(Ha)
     else:
-        pilots = dft_pilots(8, 1.0)
+        pilots = dft_pilots(8)
         ybar_p, yb_p = receive(H, pilots, N0, adc, unit_noise([rng], H.shape))
-        Ha = ls_estimate(ybar_p.values, pilots, 1.0)
-        Hb = ls_estimate(yb_p.values, pilots, 1.0)
+        Ha = ls_estimate(ybar_p.values, pilots)
+        Hb = ls_estimate(yb_p.values, pilots)
     rho = N0 / adc.step ** 2
     domain = "antenna" if antenna else "beamspace"
     filt = (omp_filter(Hb, rho, 16, "entrywise") if i % 4 == 1

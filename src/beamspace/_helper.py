@@ -1,61 +1,56 @@
-"""The helper thread of one chunk of blocks (``harness._sim_chunk``).
+"""The helper thread of one share of a round (``harness._sim_share``).
 
-On a spare core it computes, beside the main thread, work that numpy runs
-outside the GIL.  The harness imports this module at the first chunk that
-has a spare core, so ``import beamspace`` and a process without one never
-load it.
+On a spare core it runs, beside the main thread, one job per chunk: the
+path superpositions and data noise of the chunk after the one the main
+thread runs, which numpy computes outside the GIL.  So about one chunk of
+noise is held ahead (8 blocks of 64 x 128 unit normals, 1 MiB; the
+per-block helper held two blocks).  The harness imports this module at
+the first share with a spare core, so ``import beamspace`` and a process
+without one never load it.
 """
 
 import threading
 
 
 class Helper(threading.Thread):
-    """A chunk's helper thread.  It computes the items handed to it in turn,
-    each only once the result before it is taken, so it runs at most one
-    item ahead; a failure is raised by the taker in place of the result.
-    ``close`` ends and joins the thread after its current item."""
+    """A share's helper thread.  It runs the jobs submitted to it in turn;
+    ``submit`` returns a function that waits for the job and returns its
+    result, or raises its exception.  ``close`` ends and joins the thread
+    after its current job."""
 
     def __init__(self):
         super().__init__(name="beamspace-chunk-helper")
-        self._items, self._results, self._closed = [], [], False
-        self._work, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self._credit = threading.Semaphore(1)      # the one item it may run ahead
+        self._jobs, self._closed = [], False
+        self._work = threading.Semaphore(0)
         self.start()
 
     def run(self) -> None:
-        while self._work.acquire() and self._credit.acquire() and not self._closed:
-            fn, args = self._items.pop(0)
+        while self._work.acquire() and not self._closed:
+            self._jobs.pop(0)()
+
+    def submit(self, fn, *args):
+        done, out = threading.Lock(), []
+        done.acquire()
+
+        def job():
             try:
-                self._results.append((True, fn(*args)))
+                out.append((True, fn(*args)))
             except BaseException as exc:            # raised by the taker
-                self._results.append((False, exc))
-            self._done.release()
+                out.append((False, exc))
+            done.release()
 
-    def _take(self):
-        self._done.acquire()
-        ok, value = self._results.pop(0)
-        self._credit.release()
-        if not ok:
-            raise value
-        return value
+        def take():
+            with done:
+                ok, value = out[0]
+            if not ok:
+                raise value
+            return value
 
-    def imap(self, fn, *iterables):
-        """``map(fn, *iterables)``, computed on the helper."""
-        args = list(zip(*iterables))
-        self._items.extend((fn, a) for a in args)
-        if args:
-            self._work.release(len(args))
-        return (self._take() for _ in args)
-
-    def split_map(self, fn, *iterables):
-        """``map(fn, *iterables)`` with every other item computed on the
-        helper, at the same time as the items between them here."""
-        args = list(zip(*iterables))
-        odd = self.imap(fn, *zip(*args[1::2]))
-        return (next(odd) if i % 2 else fn(*a) for i, a in enumerate(args))
+        self._jobs.append(job)
+        self._work.release()
+        return take
 
     def close(self) -> None:
         self._closed = True
         self._work.release()
-        self._credit.release()
         self.join()

@@ -10,7 +10,8 @@ UE column into a +/- power_ctrl_db window around ||h||^2 = B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,18 +61,32 @@ class ScenarioConfig:
             raise ValueError("UEs with the required separation do not fit the sector")
 
 
-@dataclass
 class ChannelMatrix:
-    """Antenna-domain channel with per-UE drop metadata."""
+    """Antenna-domain channel with per-UE drop metadata, from the draws of
+    ``draw_scenario``.  ``superpose`` forms the blocks' path superpositions,
+    which draw nothing (numpy runs their exponentials outside the GIL, so
+    another thread may call it); the first read of ``H`` (B, U), or
+    (N, B, U) for a stack, scales their columns by power control."""
 
-    H: np.ndarray                      # complex, shape (B, U)
-    angles_deg: np.ndarray = field(default=None)
+    def __init__(self, angles_deg: np.ndarray, paths: tuple, offsets: list):
+        self.angles_deg, self._paths, self._offsets, self._sum = angles_deg, paths, offsets, None
+
+    def superpose(self) -> None:
+        self._sum = _superpose(*self._paths)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        if self._sum is None:
+            self.superpose()
+        H, self._sum = _scale_columns(self._sum, self._offsets, float(self._sum.shape[-2])), None
+        return H[0] if self.angles_deg.ndim == 1 else H
 
 
 def _basis(freqs: np.ndarray, num_antennas: int) -> np.ndarray:
     """ULA steering vectors [1, e^{j phi}, ..., e^{j (B-1) phi}] of paths with
-    spatial frequencies phi (..., L): (..., B, L)."""
-    return np.exp(1j * (np.arange(num_antennas)[:, None] * freqs[..., None, :]))
+    spatial frequencies phi (..., L): (..., B, L), exponentiated in place."""
+    phases = np.multiply(1j * np.arange(num_antennas)[:, None], freqs[..., None, :])
+    return np.exp(phases, out=phases)
 
 
 def _draw_angles(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
@@ -120,41 +135,53 @@ def _draw_paths(cfg: ScenarioConfig, rngs, azimuths_deg: np.ndarray):
     return gains, freqs
 
 
-def apply_power_control(H: np.ndarray, range_db: float, target: float, rng) -> np.ndarray:
-    """Rescale each column so its power sits uniformly within +/- range_db of
-    target.  H may be a stack (N, B, U) with one Generator per matrix."""
-    H = np.asarray(H, dtype=complex)
+def _scale_columns(H: np.ndarray, offsets: list, target: float) -> np.ndarray:
+    """H (..., B, U) with each column scaled to power target * 10^(o / 10), o its
+    offset in dB (a list of U per matrix)."""
     scales = []
-    for Hn, g in zip(H.reshape((-1,) + H.shape[-2:]), [rng] if H.ndim == 2 else rng):
+    for Hn, offs in zip(H.reshape((-1,) + H.shape[-2:]), offsets):
         # The bytes np.linalg.norm(h) ** 2 gives: a dot product per rail, one sqrt.
         powers = [math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag)) ** 2 for h in Hn.T]
         if 0.0 in powers:
             raise ValueError(f"column {powers.index(0.0)} has zero power")
-        offsets = g.uniform(-range_db, range_db, size=len(powers)).tolist()  # in dB
-        scales += [math.sqrt(target * 10.0 ** (o / 10.0) / p) for o, p in zip(offsets, powers)]
+        scales += [math.sqrt(target * 10.0 ** (o / 10.0) / p) for o, p in zip(offs, powers)]
     return H * np.reshape(scales, H.shape[:-2] + (1, -1))
 
 
+def _draw_offsets(rngs, range_db: float, num_ues: int) -> list:
+    """Each UE's power-control offset in dB, uniform on +/- range_db, per Generator."""
+    return [g.uniform(-range_db, range_db, size=num_ues).tolist() for g in rngs]
+
+
+def apply_power_control(H: np.ndarray, range_db: float, target: float, rng) -> np.ndarray:
+    """Rescale each column so its power sits uniformly within +/- range_db of
+    target.  H may be a stack (N, B, U) with one Generator per matrix."""
+    H = np.asarray(H, dtype=complex)
+    offsets = _draw_offsets([rng] if H.ndim == 2 else rng, range_db, H.shape[-1])
+    return _scale_columns(H, offsets, target)
+
+
 def _superpose(freqs: np.ndarray, gains: np.ndarray, num_antennas: int) -> np.ndarray:
-    """One block's channel (B, U) from its paths' frequencies and gains (U, L):
-    one product (U, B, L) @ (U, L, 1), the bytes of U matvecs."""
-    return (_basis(freqs, num_antennas) @ gains[..., None])[..., 0].T
+    """The channels (N, B, U) of paths with frequencies and gains (N, U, L):
+    products (n, U, B, L) @ (n, U, L, 1), the bytes of N U matvecs, over
+    n <= 4 blocks at a time, which bounds the basis (384 KiB at 64 x 8 x 12)."""
+    parts = [(_basis(freqs[n:n + 4], num_antennas) @ gains[n:n + 4, ..., None])[..., 0]
+             for n in range(0, len(freqs), 4)]
+    return np.swapaxes(np.concatenate(parts), -1, -2).copy()
 
 
-def draw_scenario(cfg: ScenarioConfig, rng, map_fn=map) -> ChannelMatrix:
-    """Draw UE placements and path gains, returning a power-controlled channel.
-    A list of N Generators gives a stack: H (N, B, U) and angles (N, U), each
-    block equal byte for byte to its Generator's draw alone.  ``map_fn``, an
-    order-preserving map, computes each block's path superposition (which
-    draws nothing) from its paths; it may run them on other threads."""
+def draw_scenario(cfg: ScenarioConfig, rng) -> ChannelMatrix:
+    """Draw UE placements, path gains and power-control offsets, for a
+    power-controlled channel that is built from them when read (ChannelMatrix),
+    so reading it draws nothing.  A list of N Generators gives a stack: H
+    (N, B, U) and angles (N, U), each block equal byte for byte to its
+    Generator's draw alone."""
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     angles = np.array([_draw_angles(cfg, r) for r in rngs])
     gains, freqs = _draw_paths(cfg, rngs, angles)
-    H = np.stack(list(map_fn(_superpose, freqs, gains, [cfg.num_antennas] * len(rngs))))
-    H = apply_power_control(H, cfg.power_ctrl_db, float(cfg.num_antennas), rngs)
-    if rngs is not rng:
-        H, angles = H[0], angles[0]
-    return ChannelMatrix(H=H, angles_deg=angles)
+    offsets = _draw_offsets(rngs, cfg.power_ctrl_db, cfg.num_ues)
+    return ChannelMatrix(angles if rngs is rng else angles[0],
+                         (freqs, gains, cfg.num_antennas), offsets)
 
 
 def dump_channel_csv(H: np.ndarray, path) -> None:

@@ -10,29 +10,28 @@ and evaluates each (config, SNR) BER point at most once.
 Configs that agree on every field but the algorithm and its params (a
 group) draw the same channel, bits and noise at a given SNR and block
 index: the stream does not depend on the algorithm.  A round's blocks run
-in contiguous chunks of at most _CHUNK_BLOCKS, each in three passes.  The
-front end (channel, ADC step, rho, LS pilots; in beamspace only if a
-detector of the group reads it) runs once over the chunk: each block draws
-from its own Generator, and the arithmetic between draws is stacked.  Each
-distinct filter is built and quantized in one stacked call (one LMMSE
-filter per domain; one OMP run per support rule to the group's largest K,
-whose nested supports give each smaller K).  Then block by block the data
-is drawn and received once, and each config runs its kernel and demap.
-Stacked results equal those of each block alone, byte for byte.  A pooled
-round is one task per worker, each a contiguous share of the round's
-blocks that the worker runs as chunks.
+in contiguous chunks of at most _CHUNK_BLOCKS, drawn one chunk ahead:
+before chunk c runs, chunk c + 1's paths, LS pilot noise and data bits are
+drawn here, and its job (path superpositions, then data noise) is handed
+on.  A chunk runs in three passes.  The front end (channel, ADC step, rho,
+LS pilots; in beamspace only if a detector of the group reads it) runs
+once, stacked over the chunk.  Each distinct filter is built and quantized
+in one stacked call (one LMMSE filter per domain; one OMP run per support
+rule to the group's largest K, whose nested supports give each smaller
+K).  Then block by block the data is received once, and each config runs
+its kernel and demap.  Stacked results equal those of each block alone,
+byte for byte.  A pooled round is one task per worker, each a contiguous
+share of the round's blocks that the worker runs as chunks.
 ``workers`` counts processes.  When a round runs in this process alone
-and the affinity mask holds a second core (``_spare_core``), each chunk
-starts one helper thread (``_helper``, imported by the first such chunk)
-for work numpy runs outside the GIL: every other block's path
-superposition in the channel draw (the steering-basis exponentials), then
-each block's data bits and unit noise, in block order and at most one
-block ahead.  A block's Generator is used by one thread at a time in its
-order alone (front end here, data draws there), so every output is
-byte-identical with or without the helper.  The stage functions called by
-name here, which a tracer may rebind, run on the main thread only.  The
-helper ends with its chunk, so no thread outlives a chunk or exists at a
-fork.
+and the affinity mask holds a second core (``_spare_core``), its share
+starts one helper thread (``_helper``, imported then) that runs each
+chunk's job, which numpy computes outside the GIL, while this thread runs
+the chunk before; otherwise the job runs here, each block's noise drawn
+as the block takes it.  Each Generator draws in its order alone, one
+thread at a time, so every output is byte-identical with or without the
+helper.  The stage functions called by name here, which a tracer may
+rebind, run on the main thread only.  The helper ends with its share, so
+no thread outlives a round or exists at a fork.
 The standard library's process pool (with ``multiprocessing``) is
 imported only when a process builds its first pool, so a process that
 never pools, as at the default ``workers=1``, never loads it.
@@ -50,7 +49,6 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, is_dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -217,32 +215,55 @@ def _filter_key(cfg: SimConfig) -> tuple:
     return det.domain, det.omp, max(1, round(cfg.delta * B)) if det.omp else B
 
 
-def _front_end(cfg: SimConfig, snr_db: float, indices, beamspace: bool, map_fn) -> dict:
-    """The state up to the CSI of blocks ``indices``, common to a group, in one
-    pass: stacked, the channels, steps, rho and (LS) the received pilots, in
-    beamspace too if ``beamspace``; per block (``blocks``), its Generator
-    after the draws so far, channel, N0 and ADC.  Each Generator draws as
-    alone; the arithmetic between the draws runs once over the stack, and
-    the channel's path superpositions through ``map_fn`` (draw_scenario)."""
+def _draw_chunk(cfg: SimConfig, snr_db: float, indices, helper=None) -> tuple:
+    """The draws of blocks ``indices``, each from its own Generator in stream
+    order: here the channel's (draw_scenario), the LS pilots' unit noise and
+    the data bits, narrowed to int8 once drawn; then one job, on ``helper``
+    if given: the path superpositions, then each block's unit data noise.
+    Returns (channel, pilot noise or None, bits, take): ``take()`` gives an
+    iterator of the blocks' data noise, waiting for the job; without a
+    helper it superposes at the first read of H and draws each block's
+    noise as the block takes it."""
     rngs = [_block_rng(cfg, snr_db, i) for i in indices]
-    H = draw_scenario(cfg.scenario, rngs, map_fn).H
+    channel = draw_scenario(cfg.scenario, rngs)
+    B, U, T = cfg.scenario.num_antennas, cfg.scenario.num_ues, cfg.coherence_len
+    pilot_noise = unit_noise(rngs, (len(rngs), B, U)) if cfg.csi_mode == "ls" else None
+    bits = [r.integers(0, 2, size=(T, U, BITS_PER_SYMBOL)).astype(np.int8) for r in rngs]
+    noise = (unit_noise([r], (B, T)) for r in rngs)
+    take = helper.submit(_chunk_job, channel, noise) if helper else lambda: noise
+    return channel, pilot_noise, bits, take
+
+
+def _chunk_job(channel, noise):
+    """A chunk's helper job: the path superpositions, then the data noise,
+    each block's let go as the block takes it."""
+    channel.superpose()
+    drawn = list(noise)[::-1]
+    return (drawn.pop() for _ in range(len(drawn)))
+
+
+def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: bool) -> dict:
+    """The state up to the CSI of a chunk drawn by ``_draw_chunk``, common to
+    a group, in one pass: stacked, the channels, steps, rho and (LS) the
+    received pilots, in beamspace too if ``beamspace``; per block
+    (``blocks``), its channel, N0 and ADC."""
+    H = channel.H
     N0 = cfg.noise_power(snr_db)
     adc = None if cfg.adc_bits is None else AdcConfig(
         cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
         unified_step(H, N0, cfg.adc_bits)[:, None, None])
-    steps = [1.0] * len(rngs) if adc is None else adc.step.ravel().tolist()
+    steps = [1.0] * len(H) if adc is None else adc.step.ravel().tolist()
     scales = [step ** 2 for step in steps]              # float pow
     if 0.0 in scales:
         raise ConfigError(f"the ADC step^2 underflows to 0 at N0 = {N0}")
     chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
              "rho": np.array([N0 / scale for scale in scales]),
-             "blocks": [{"rng": r, "H": h, "N0": N0, "beamspace": beamspace,
+             "blocks": [{"H": h, "N0": N0, "beamspace": beamspace,
                          "adc": adc and AdcConfig(adc.bits, adc.unit_step, step)}
-                        for r, h, step in zip(rngs, H, steps)]}
+                        for h, step in zip(H, steps)]}
     if cfg.csi_mode == "ls":
         chunk["pilots"] = dft_pilots(H.shape[-1])
-        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc,
-                                    unit_noise(rngs, H.shape), beamspace)
+        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc, pilot_noise, beamspace)
     return chunk
 
 
@@ -318,14 +339,6 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     return BlockResult(errors, tx_bits.size, executed, total_mults)
 
 
-def _data_draws(coherence_len: int, shared: dict) -> tuple:
-    """A block's data bits (T, U, 4) and the unit normals of its data noise
-    (``unit_noise``), drawn in this order from its Generator."""
-    rng, (B, U) = shared["rng"], shared["H"].shape
-    bits = rng.integers(0, 2, size=(coherence_len, U, BITS_PER_SYMBOL))
-    return bits, unit_noise([rng], (B, coherence_len))
-
-
 def _spare_core() -> bool:
     """Whether the affinity mask holds a second core, for the helper thread of
     a round run in this process alone (a CPU quota is not seen)."""
@@ -334,38 +347,28 @@ def _spare_core() -> bool:
     return cores >= 2
 
 
-def _sim_chunk(cfgs: tuple, snr_db: float, indices, spare_core=False) -> list[BlockResult]:
+def _sim_chunk(cfgs: tuple, snr_db: float, indices, drawn=None) -> list[BlockResult]:
     """Blocks ``indices`` of a group of configs, which agree on every field
     but the algorithm and its params: one BlockResult per config and block,
     block by block in the group's order.
 
-    Three passes (module docstring): ``_front_end`` and ``_build_filters``
-    once over the chunk, then per block ``_data_draws`` and each config's
-    ``_sim_block``.  With ``spare_core``, a ``_helper.Helper`` shares the
-    channel's path superpositions and runs the data draws.  The chunk
-    ``[block_index]`` gives the results of that block in any chunk.
+    Three passes (module docstring) on the draws ``drawn`` of
+    ``_draw_chunk``, made here if not given: ``_front_end`` and
+    ``_build_filters`` once over the chunk, then per block each config's
+    ``_sim_block``.  The chunk ``[block_index]`` gives the results of that
+    block in any chunk.
     """
-    cfg = cfgs[0]
-    beamspace = any(c.detector.domain == "beamspace" for c in cfgs)
-    helper = None
-    if spare_core:
-        from ._helper import Helper     # a process without a spare core never loads it
-        helper = Helper()
-    try:
-        chunk = _front_end(cfg, snr_db, indices, beamspace,
-                           helper.split_map if helper else map)
-        draws = (helper.imap if helper else map)(
-            partial(_data_draws, cfg.coherence_len), chunk["blocks"])
-        _build_filters(cfgs, chunk)
-        results = []
-        for shared in chunk["blocks"]:
-            shared["tx_bits"], shared["noise"] = next(draws)
-            results += [_sim_block(c, shared) for c in cfgs]
-            shared.clear()              # the block's data goes before the next is taken
-        return results
-    finally:
-        if helper:
-            helper.close()
+    channel, pilot_noise, bits, take = drawn or _draw_chunk(cfgs[0], snr_db, indices)
+    noise = take()                      # the superpositions come first
+    chunk = _front_end(cfgs[0], snr_db, channel, pilot_noise,
+                       any(c.detector.domain == "beamspace" for c in cfgs))
+    _build_filters(cfgs, chunk)
+    results = []
+    for shared, tx_bits in zip(chunk["blocks"], bits):
+        shared["tx_bits"], shared["noise"] = tx_bits, next(noise)
+        results += [_sim_block(c, shared) for c in cfgs]
+        shared.clear()                  # the block's data goes before the next is taken
+    return results
 
 
 # Per thread: the public call in progress (``open``), its process pool
@@ -422,10 +425,24 @@ def _split(indices: list, count: int) -> list[list]:
 
 def _sim_share(cfgs: tuple, snr_db: float, indices: list, spare_core=False) -> list[BlockResult]:
     """Blocks ``indices`` of a group, run as the fewest chunks of near-equal
-    size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``, given
-    ``spare_core``)."""
+    size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``), one
+    chunk ahead: chunk c + 1 is drawn (``_draw_chunk``) before chunk c
+    runs.  With ``spare_core``, a helper thread runs each chunk's job."""
     chunks = _split(indices, -(-len(indices) // _CHUNK_BLOCKS))
-    return [res for chunk in chunks for res in _sim_chunk(cfgs, snr_db, chunk, spare_core)]
+    helper = None
+    if spare_core:
+        from ._helper import Helper     # a process without a spare core never loads it
+        helper = Helper()
+    try:
+        drawn, results = [_draw_chunk(cfgs[0], snr_db, chunks[0], helper)], []
+        for c, chunk in enumerate(chunks):
+            if c + 1 < len(chunks):
+                drawn.append(_draw_chunk(cfgs[0], snr_db, chunks[c + 1], helper))
+            results += _sim_chunk(cfgs, snr_db, chunk, drawn.pop(0))
+        return results
+    finally:
+        if helper:
+            helper.close()
 
 
 @_pool_scope()
@@ -437,8 +454,8 @@ def _map_blocks(cfgs: tuple, snr_db: float, indices) -> list[BlockResult]:
     one contiguous share of near-equal size per worker, ``min(n, workers)``
     tasks for a pool of as many processes, and each task runs its share as
     chunks of at most _CHUNK_BLOCKS blocks (``_sim_share``); otherwise the
-    round is one share, run in this process, whose chunks start a helper
-    thread if ``_spare_core``; pool workers start none.  Before the first
+    round is one share, run in this process, which starts a helper thread
+    if ``_spare_core``; pool workers start none.  Before the first
     pool of the process forks, the pool machinery (``ProcessPoolExecutor``)
     and the numpy submodules that the block pipeline loads lazily are
     imported here, so that no worker imports them again and a process that

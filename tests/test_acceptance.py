@@ -2,7 +2,7 @@
 
 Each test covers one release criterion and prints a single PASS/FAIL line
 so the whole gate is readable from the pytest -v output.  Criterion 6 is a
-Monte-Carlo run with at least 10^6 bits per SNR point and takes about 26 s
+Monte-Carlo run with at least 10^6 bits per SNR point and takes about 10 s
 on 2 cores; everything else is seconds.
 """
 

@@ -3,7 +3,6 @@ import threading
 import numpy as np
 import pytest
 
-from beamspace._helper import Helper
 from beamspace.channel import (ScenarioConfig, _basis, _draw_angles, apply_power_control,
                                draw_scenario, dump_channel_csv)
 from beamspace.frontend import dft_unitary
@@ -240,25 +239,33 @@ def test_draw_scenario_on_a_stack_matches_frozen_copy(los, num_ues):
 
 
 @pytest.mark.parametrize("los", [True, False])
-def test_draw_scenario_with_the_helper_map_matches_builtin_map(los):
-    # The chunk helper's split map builds every other block's path
-    # superposition on its thread: H, angles and each Generator's state after
-    # the draw are those of the builtin map, byte for byte.
+@pytest.mark.parametrize("elsewhere", [False, True], ids=["at-read", "other-thread"])
+def test_deferred_channel_build_matches_frozen_copy(los, elsewhere):
+    # draw_scenario makes every draw before H is built: each Generator's state
+    # right after the draw is the frozen copy's after its whole draw, and H,
+    # built after later draws from the same Generators (its superpositions at
+    # the first read, or beforehand on another thread), and the angles are
+    # the frozen copy's, byte for byte.
     cfg = ScenarioConfig(num_antennas=64, num_ues=8, los=los)
     baseline = threading.active_count()
     for size in (1, 2, 7, 8):
         seeds = [[size, n] for n in range(size)]
-        r_ref = [np.random.default_rng(seed) for seed in seeds]
         r_new = [np.random.default_rng(seed) for seed in seeds]
-        ref = draw_scenario(cfg, r_ref)
-        helper = Helper()
-        try:
-            new = draw_scenario(cfg, r_new, helper.split_map)
-        finally:
-            helper.close()
-        assert new.H.tobytes() == ref.H.tobytes()
-        assert new.angles_deg.tobytes() == ref.angles_deg.tobytes()
-        assert [r.bit_generator.state for r in r_new] == [r.bit_generator.state for r in r_ref]
+        scen = draw_scenario(cfg, r_new)
+        refs = []
+        for seed, r in zip(seeds, r_new):
+            r_ref = np.random.default_rng(seed)
+            refs.append(_frozen_draw_scenario(cfg, r_ref)[:2])
+            assert r.bit_generator.state == r_ref.bit_generator.state
+            r.standard_normal(100)                  # later draws move no byte of H
+        if elsewhere:
+            thread = threading.Thread(target=scen.superpose)
+            thread.start()
+            thread.join()
+        assert scen.H.shape == (size, 64, 8)
+        for n, (H, angles) in enumerate(refs):
+            assert scen.H[n].tobytes() == H.tobytes()
+            assert scen.angles_deg[n].tobytes() == angles.tobytes()
     assert threading.active_count() == baseline
 
 

@@ -195,6 +195,25 @@ def test_beamspace_noise_stays_white():
     assert np.all(np.abs(var - N0) < 0.05 * N0)
 
 
+@pytest.mark.parametrize("blocks", [1, 4])
+def test_receive_noise_is_n0_over_2_on_each_rail(blocks):
+    # The float-chain z-test (test_harness) sees only the total noise power,
+    # so a split uneven between the rails would pass it.  Here each rail of
+    # each block, as receive scales unit_noise, has mean 0 and variance N0 / 2,
+    # and the rails are uncorrelated: with M samples a rail's sample
+    # variance has relative sd sqrt(2 / M), and the bounds are 6 sd.
+    N0 = 0.3
+    H, s = np.zeros((blocks, 64, 1)), np.zeros((1, 2048))
+    rngs = [np.random.default_rng([5, n]) for n in range(blocks)]
+    z, _ = receive(H, s, N0, None, _noise(H, s, rngs), beamspace=False)
+    for block in z.values.reshape(blocks, -1):
+        M, var = block.size, N0 / 2.0
+        for rail in (block.real, block.imag):
+            assert abs(rail.mean()) < 6.0 * np.sqrt(var / M)
+            assert abs(rail.var() / var - 1.0) < 6.0 * np.sqrt(2.0 / M)
+        assert abs(np.mean(block.real * block.imag)) < 6.0 * var / np.sqrt(M)
+
+
 def _small_setup(seed=0):
     scen = draw_scenario(ScenarioConfig(num_antennas=16, num_ues=2),
                          np.random.default_rng(seed))

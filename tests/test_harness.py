@@ -692,42 +692,53 @@ def test_helper_thread_leaves_block_results_identical(los, csi_mode, arithmetic,
                 arithmetic=arithmetic, adc_bits=adc_bits)
     group = tuple(_every_detector(base))
     baseline = threading.active_count()
-    for n in (1, 3, 8):                         # one chunk of n blocks
+    for n in (1, 7, 8, 9, 17):                  # shares of 1, 1, 1, 2 and 3 chunks
         runs = {}
         for on in (False, True):
             helpers(on)
             runs[on] = harness._map_blocks(group, 6.0, range(4, 4 + n))
         assert runs[True] == runs[False], n
-    assert len(helpers.started) == 3
+    assert len(helpers.started) == 5
     assert threading.active_count() == baseline
 
 
-def _raise_in_helper(fn):
-    """``fn``, but raising RuntimeError when called off the main thread."""
+def _raise_in_helper(fn, at):
+    """``fn``, but raising RuntimeError at its ``at``-th call off the main thread."""
+    calls = []
+
     def wrapped(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("helper failed")
+            calls.append(1)
+            if len(calls) == at:
+                raise RuntimeError("helper failed")
         return fn(*args, **kwargs)
     return wrapped
 
 
 @pytest.mark.parametrize("module, name", [(harness, "unit_noise"), (channel, "_superpose")])
 def test_helper_failure_reaches_the_caller(module, name, helpers, monkeypatch):
-    # a failure in the data draws or in the channel's path superpositions
+    # a failure in the data draws (a call per block) or in the channel's path
+    # superpositions (a call per chunk), in the first chunk's job or in a
+    # later one (20 blocks: chunks of 6, 7 and 7)
     helpers(True)
     baseline = threading.active_count()
-    monkeypatch.setattr(module, name, _raise_in_helper(getattr(module, name)))
-    with pytest.raises(RuntimeError, match="helper failed"):
-        harness._map_blocks((_cfg(),), 6.0, range(5))
+    fn = getattr(module, name)
+    for at in (1, 10, 20) if name == "unit_noise" else (1, 2, 3):
+        monkeypatch.setattr(module, name, _raise_in_helper(fn, at))
+        with pytest.raises(RuntimeError, match="helper failed"):
+            harness._map_blocks((_cfg(),), 6.0, range(20))
+        assert threading.active_count() == baseline
+    monkeypatch.setattr(module, name, _raise_in_helper(fn, 1))
     with pytest.raises(RuntimeError, match="helper failed"):
         run_ber_point(_cfg(), 6.0)
     assert helpers.started and threading.active_count() == baseline
 
 
-@pytest.mark.parametrize("failing_call", [1, 2, 5])
+@pytest.mark.parametrize("failing_call", [1, 2, 5, 9, 20])
 def test_main_thread_failure_mid_chunk_ends_the_helper(failing_call, helpers, monkeypatch):
-    # demap_hard raising on its n-th call: the helper is drawing ahead, or
-    # waiting for its last result to be taken
+    # demap_hard raising on its n-th call, in the first, second or last of
+    # chunks of 6, 7 and 7 blocks: the helper is drawing a chunk ahead, or
+    # waiting for its next job
     helpers(True)
     baseline = threading.active_count()
     calls = []
@@ -741,8 +752,41 @@ def test_main_thread_failure_mid_chunk_ends_the_helper(failing_call, helpers, mo
 
     monkeypatch.setattr(harness, "demap_hard", failing)
     with pytest.raises(ValueError, match="demap failed"):
-        harness._map_blocks((_cfg(),), 6.0, range(8))
+        harness._map_blocks((_cfg(),), 6.0, range(20))
     assert helpers.started and threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["inline", "helper"])
+def test_data_is_drawn_at_most_one_chunk_ahead(on, helpers, monkeypatch):
+    # At each draw of a block's data noise (64 x 128 unit normals, 128 KiB),
+    # the blocks drawn so far end no later than the chunk after the one that
+    # holds the next block to detect.  Perfect CSI, so that every unit_noise
+    # call draws a block's data noise.
+    helpers(on)
+    n = 43                                      # chunks of 7, 7, 7, 7, 7 and 8
+    ends = np.cumsum([len(c) for c in harness._split(list(range(n)), 6)])
+    drawn, done, within = [], [], []
+    draw, block = harness.unit_noise, harness._sim_block
+
+    def counted_draw(*args):
+        # the end of the chunk after the one holding the next block to detect
+        bound = ends[min(np.searchsorted(ends, len(done), side="right") + 1, len(ends) - 1)]
+        drawn.append(1)
+        within.append(len(drawn) <= bound)
+        return draw(*args)
+
+    def counted_block(*args):
+        out = block(*args)
+        done.append(1)
+        return out
+
+    monkeypatch.setattr(harness, "unit_noise", counted_draw)
+    monkeypatch.setattr(harness, "_sim_block", counted_block)
+    cfg = _cfg(scenario=ScenarioConfig(num_antennas=64, num_ues=8), coherence_len=128,
+               csi_mode="perfect")
+    harness._map_blocks((cfg,), 6.0, range(n))
+    assert len(drawn) == len(done) == n and all(within)
+    assert len(helpers.started) == on
 
 
 def test_no_helper_outlives_a_public_call(helpers):
@@ -818,23 +862,28 @@ def test_bench_stages_run_on_the_main_thread_only(helpers, monkeypatch):
             "omp_filter", "adaptive_mvm", "solve_hermitian_pd"} <= {n for n, _ in threads}
 
 
-def test_helper_hands_results_in_order_one_ahead():
-    # Under frequent thread switches and an uneven consumer: every result in
-    # order, none lost, and the helper never more than one result ahead.
-    taken, ahead = [0], []
-
+def test_helper_returns_each_job_to_its_taker():
+    # Under frequent thread switches and an uneven consumer that submits one
+    # job ahead: every result taken in order, none lost, and a job's failure
+    # raised by its own taker alone.
     def work(k):
-        ahead.append(k - taken[0])
+        if k % 50 == 49:
+            raise KeyError(k)
         return k * k
 
     def consume(out):
         helper = _helper.Helper()
         try:
-            for k, value in enumerate(helper.imap(work, range(300))):
+            takes = [helper.submit(work, 0)]
+            for k in range(300):
+                if k + 1 < 300:
+                    takes.append(helper.submit(work, k + 1))
                 if k % 7 == 0:
                     time.sleep(1e-4)
-                out.append(value)
-                taken[0] += 1
+                try:
+                    out.append(takes.pop(0)())
+                except KeyError as exc:
+                    out.append(exc.args)
         finally:
             helper.close()
 
@@ -848,8 +897,7 @@ def test_helper_hands_results_in_order_one_ahead():
     finally:
         sys.setswitchinterval(interval)
     assert not consumer.is_alive()
-    assert out == [k * k for k in range(300)]
-    assert max(ahead) <= 1
+    assert out == [(k,) if k % 50 == 49 else k * k for k in range(300)]
 
 
 WARM_PROBE = '''

@@ -2,7 +2,7 @@
 
 # First: fixes the BLAS thread count before any module below imports numpy.
 from . import _blas  # noqa: F401
-from .channel import ChannelMatrix, ScenarioConfig, apply_power_control, draw_scenario
+from .channel import ChannelMatrix, ScenarioConfig, draw_scenario
 from .equalize import (EqualizerMatrix, lmmse_filter, omp_filter, quantize_filter,
                        residual_objective)
 from .frontend import (AdcConfig, ReceiveVector, dft_unitary, optimal_unit_step,

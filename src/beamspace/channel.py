@@ -3,8 +3,8 @@
 Each UE channel is a superposition of complex sinusoids (one per
 propagation path).  LoS scenarios have one dominant unit-power path plus a
 few weak scattered paths; non-LoS scenarios have many i.i.d. Gaussian
-paths with a per-path power decay.  Receive power control rescales each
-UE column into a +/- power_ctrl_db window around ||h||^2 = B.
+paths with a per-path power decay.  Receive power control, in draw_scenario
+only, rescales each UE column into a +/- power_ctrl_db window around ||h||^2 = B.
 """
 
 from __future__ import annotations
@@ -148,19 +148,6 @@ def _scale_columns(H: np.ndarray, offsets: list, target: float) -> np.ndarray:
     return H * np.reshape(scales, H.shape[:-2] + (1, -1))
 
 
-def _draw_offsets(rngs, range_db: float, num_ues: int) -> list:
-    """Each UE's power-control offset in dB, uniform on +/- range_db, per Generator."""
-    return [g.uniform(-range_db, range_db, size=num_ues).tolist() for g in rngs]
-
-
-def apply_power_control(H: np.ndarray, range_db: float, target: float, rng) -> np.ndarray:
-    """Rescale each column so its power sits uniformly within +/- range_db of
-    target.  H may be a stack (N, B, U) with one Generator per matrix."""
-    H = np.asarray(H, dtype=complex)
-    offsets = _draw_offsets([rng] if H.ndim == 2 else rng, range_db, H.shape[-1])
-    return _scale_columns(H, offsets, target)
-
-
 def _superpose(freqs: np.ndarray, gains: np.ndarray, num_antennas: int) -> np.ndarray:
     """The channels (N, B, U) of paths with frequencies and gains (N, U, L):
     products (n, U, B, L) @ (n, U, L, 1), the bytes of N U matvecs, over
@@ -179,7 +166,9 @@ def draw_scenario(cfg: ScenarioConfig, rng) -> ChannelMatrix:
     rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     angles = np.array([_draw_angles(cfg, r) for r in rngs])
     gains, freqs = _draw_paths(cfg, rngs, angles)
-    offsets = _draw_offsets(rngs, cfg.power_ctrl_db, cfg.num_ues)
+    # Each UE's power-control offset in dB, uniform on +/- power_ctrl_db.
+    offsets = [r.uniform(-cfg.power_ctrl_db, cfg.power_ctrl_db, size=cfg.num_ues).tolist()
+               for r in rngs]
     return ChannelMatrix(angles if rngs is rng else angles[0],
                          (freqs, gains, cfg.num_antennas), offsets)
 

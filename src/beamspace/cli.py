@@ -2,8 +2,8 @@
 
 Every configuration key can come from a flat key=value config file
 (--config) and be overridden by a CLI flag of the same name.  Outputs are
-CSV with a single header row; validation failures print one
-machine-readable ``error: ...`` line and exit nonzero.
+CSV with a single header row; validation failures, argparse's errors
+among them, print one machine-readable ``error: ...`` line and exit nonzero.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from .harness import (DETECTORS, ConfigError, SimConfig, UnreachableError,
 from .numerics import DecompositionError
 
 _BOOL = "bool"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise ConfigError, for main to print as one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _config_keys() -> tuple[dict, set]:
@@ -132,7 +139,10 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _parse_grid(args, dest: str) -> list[float]:
-    grid = [float(x) for x in getattr(args, dest).split(",") if x.strip()]
+    try:
+        grid = [float(x) for x in getattr(args, dest).split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from None
     if not grid:
         raise ConfigError(f"{dest} needs at least one value")
     return grid
@@ -177,11 +187,10 @@ def _cmd_pareto(args) -> int:
 
 def _cmd_activity(args) -> int:
     cfg = build_sim_config(args)
-    bins = int(args.bins)
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
-    alphas = activity_samples(cfg, float(args.snr_db), int(args.num_blocks))
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    if args.bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {args.bins}")
+    alphas = activity_samples(cfg, args.snr_db, args.num_blocks)
+    edges = np.linspace(0.0, 1.0, args.bins + 1)
     counts, _ = np.histogram(alphas, bins=edges)
     _write_csv(args.out, ["bin_lo", "bin_hi", "count"],
                [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
@@ -190,10 +199,8 @@ def _cmd_activity(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    alpha = float(args.alpha)
     if args.mute_fraction is not None:
-        mf = float(args.mute_fraction)
-        archs = [(args.arch or "custom", mf)]
+        archs = [(args.arch or "custom", args.mute_fraction)]
     elif args.arch == "custom":
         raise ConfigError("--arch custom requires --mute-fraction")
     elif args.arch:
@@ -204,12 +211,11 @@ def _cmd_power(args) -> int:
     for name, mf in archs:
         kind = "MAC" if name.lower().startswith("mac") else "AT"
         arch = hwmodel.ArchModel(kind=kind, mute_fraction=mf,
-                                 clock_hz=float(args.clock_hz),
-                                 num_ues=int(args.num_ues or 8),
-                                 num_beams=int(args.num_antennas or 64),
+                                 clock_hz=args.clock_hz, num_ues=args.num_ues,
+                                 num_beams=args.num_antennas,
                                  bits_per_symbol=4)
-        rows.append((name, alpha, mf, hwmodel.power_proxy(alpha, mf),
-                     hwmodel.savings_vs_baseline(alpha, mf),
+        rows.append((name, args.alpha, mf, hwmodel.power_proxy(args.alpha, mf),
+                     hwmodel.savings_vs_baseline(args.alpha, mf),
                      hwmodel.throughput_bps(arch) / 1e9))
     _write_csv(args.out, ["arch", "alpha", "mute_fraction", "relative_power",
                           "savings", "throughput_gbps"], rows)
@@ -218,11 +224,10 @@ def _cmd_power(args) -> int:
 
 def _cmd_gen_channels(args) -> int:
     cfg = build_sim_config(args)
-    count = int(args.count)
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
+    if args.count < 1:
+        raise ConfigError(f"count must be >= 1, got {args.count}")
     os.makedirs(args.outdir, exist_ok=True)
-    for i in range(count):
+    for i in range(args.count):
         rng = np.random.default_rng([cfg.seed, i])
         scen = draw_scenario(cfg.scenario, rng)
         dump_channel_csv(scen.H, os.path.join(args.outdir, f"channel_{i:04d}.csv"))
@@ -230,8 +235,7 @@ def _cmd_gen_channels(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="beamspace",
-                                     description="Beamspace equalization simulator")
+    parser = _Parser(prog="beamspace", description="Beamspace equalization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ber", help="uncoded BER curve over an SNR grid")
@@ -253,24 +257,24 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("activity", help="activity-rate histogram at fixed thresholds")
     _add_common(p)
-    p.add_argument("--snr-db", required=True)
-    p.add_argument("--num-blocks", default=100)
-    p.add_argument("--bins", default=20)
+    p.add_argument("--snr-db", type=float, required=True)
+    p.add_argument("--num-blocks", type=int, default=100)
+    p.add_argument("--bins", type=int, default=20)
     p.set_defaults(func=_cmd_activity)
 
     p = sub.add_parser("power", help="architectural power-proxy report")
     p.add_argument("--out")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--arch", choices=sorted(hwmodel.MUTE_FRACTIONS) + ["custom"])
-    p.add_argument("--mute-fraction")
-    p.add_argument("--clock-hz", default=1e9)
-    p.add_argument("--num-ues")
-    p.add_argument("--num-antennas")
+    p.add_argument("--mute-fraction", type=float)
+    p.add_argument("--clock-hz", type=float, default=1e9)
+    p.add_argument("--num-ues", type=int, default=8)
+    p.add_argument("--num-antennas", type=int, default=64)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("gen-channels", help="dump channel realizations as CSV")
     _add_common(p)
-    p.add_argument("--count", default=10)
+    p.add_argument("--count", type=int, default=10)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_gen_channels)
 
@@ -281,8 +285,8 @@ def main(argv=None) -> int:
         if token.startswith("--") and "=" not in token and token != "--help":
             token = "=".join([token, *itertools.islice(tokens, 1)])
         argv.append(token)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, DecompositionError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Linear equalizer construction: dense LMMSE and sparse OMP variants.
 
-Filter math runs in double precision; quantize_filter produces the
-fixed-point view used by the equalization kernels, with a power-of-two
-rescale 2^k chosen so the largest entry component lands in [0.25, 0.5).
+Filter math runs in double precision; quantize_filter gives the fixed-point
+codes that the equalization kernels multiply, with a power-of-two rescale
+2^k chosen so the largest entry component lands in [0.25, 0.5).
 """
 
 from __future__ import annotations
@@ -16,23 +16,24 @@ from .numerics import FixedFormat, FxComplexArray, solve_hermitian_pd
 
 @dataclass
 class EqualizerMatrix:
-    """U x B filter with its OMP support (None: dense) and optional fixed-point
-    view, or a stack of N such filters with a leading axis on every field."""
+    """U x B filter with its OMP support (None: dense), or a stack of N such
+    filters with a leading axis on every field.  A quantized filter
+    (quantize_filter) holds only its codes fx and scale_exp, W being None."""
 
-    W: np.ndarray                      # complex, shape (U, B) or (N, U, B)
+    W: np.ndarray | None               # complex, shape (U, B) or (N, U, B)
     domain: str = "beamspace"          # 'antenna' | 'beamspace'
     support: np.ndarray | None = None  # sorted beam indices, entrywise (U, K) per
                                        # row, columnwise (K,) shared
     fx: FxComplexArray | None = None
-    scale_exp: int | np.ndarray = 0    # stored codes represent W * 2^scale_exp
+    scale_exp: int | np.ndarray = 0    # the codes represent W * 2^scale_exp
 
     def __getitem__(self, n: int) -> EqualizerMatrix:
         """Filter n of a stack, its arrays views into the stack's."""
         return EqualizerMatrix(
-            W=self.W[n], domain=self.domain,
+            W=None if self.W is None else self.W[n], domain=self.domain,
             support=None if self.support is None else self.support[n],
             fx=None if self.fx is None else FxComplexArray(self.fx.codes[n], self.fx.fmt),
-            scale_exp=int(np.broadcast_to(self.scale_exp, self.W.shape[:1])[n]))
+            scale_exp=int(self.scale_exp[n] if np.ndim(self.scale_exp) else self.scale_exp))
 
 
 def _stacked(H: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +142,11 @@ def omp_filter(H: np.ndarray, rho, K: int | list[int], mode: str,
 
 
 def quantize_filter(eq: EqualizerMatrix, fmt: FixedFormat) -> EqualizerMatrix:
-    """Attach a fixed-point view: scale by 2^k into [0.25, 0.5), then quantize.
-    A stack of filters gets one k per filter."""
+    """The filter as codes alone, W dropped: scaled by 2^k into [0.25, 0.5),
+    then quantized.  A stack of filters gets one k per filter."""
     W = eq.W
     max_abs = np.maximum(np.abs(W.real).max(axis=(-2, -1)), np.abs(W.imag).max(axis=(-2, -1)))
     # max_abs = m 2^e with m in [0.5, 1), so max_abs 2^(-e-1) is in [0.25, 0.5)
     k = np.where(max_abs > 0, -np.frexp(max_abs)[1] - 1, 0)
     fx = FxComplexArray.quantize(W * np.ldexp(1.0, k)[..., None, None], fmt)
-    return replace(eq, fx=fx, scale_exp=int(k) if k.ndim == 0 else k)
+    return replace(eq, W=None, fx=fx, scale_exp=int(k) if k.ndim == 0 else k)

@@ -160,6 +160,8 @@ class SimConfig:
             raise ConfigError("adc_bits must be in 1..8")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.min_errors_per_point < 0:
             raise ConfigError("min_errors_per_point must be >= 0,"
                               f" got {self.min_errors_per_point}")
@@ -267,35 +269,29 @@ def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: b
     return chunk
 
 
-def _estimates(cfg: SimConfig, chunk: dict, domain: str, built: dict) -> np.ndarray:
-    """The chunk's channel estimates in ``domain``, stacked (N, B, U); each
-    domain's stack is built once per chunk and group (in ``built``)."""
-    if domain not in built:
-        if cfg.csi_mode == "ls":
-            pilot_rx = chunk["pilot_rx"][_DOMAINS.index(domain)].values
-            built[domain] = ls_estimate(pilot_rx, chunk["pilots"])
-        elif domain == "antenna":
-            built[domain] = perfect_csi(chunk["H"], chunk["step"])
-        else:
-            built[domain] = dft_unitary(_estimates(cfg, chunk, "antenna", built))
-    return built[domain]
-
-
 def _build_filters(cfgs: tuple, chunk: dict) -> None:
-    """Each distinct filter of the group for every block of a chunk: one
-    lmmse_filter call per domain, one omp_filter call per support rule (to
-    the group's largest K) and one quantize_filter call per _filter_key.
-    Block n's filters go into ``chunk["blocks"][n]`` under their keys."""
+    """Each distinct filter of the group for every block of a chunk: the CSI
+    in one pass (LS: one ls_estimate call per domain the group reads;
+    perfect: one perfect_csi call, and one dft_unitary call if a detector
+    reads beamspace), then one lmmse_filter call per domain, one omp_filter
+    call per support rule (to the group's largest K) and one quantize_filter
+    call per _filter_key.  Block n's filters go into ``chunk["blocks"][n]``."""
     cfg = cfgs[0]
     keys = list(dict.fromkeys(map(_filter_key, cfgs)))
-    estimates = {}
+    domains = {key[0] for key in keys}
+    if cfg.csi_mode == "ls":
+        estimates = {d: ls_estimate(chunk["pilot_rx"][_DOMAINS.index(d)].values,
+                                    chunk["pilots"]) for d in _DOMAINS if d in domains}
+    else:
+        estimates = {"antenna": perfect_csi(chunk["H"], chunk["step"])}
+        if "beamspace" in domains:
+            estimates["beamspace"] = dft_unitary(estimates["antenna"])
     for domain, omp in dict.fromkeys(key[:2] for key in keys):
-        H_est = _estimates(cfg, chunk, domain, estimates)
         sizes = [k for d, o, k in keys if (d, o) == (domain, omp)]
         if omp:
-            eqs = omp_filter(H_est, chunk["rho"], sizes, omp, domain=domain)
+            eqs = omp_filter(estimates[domain], chunk["rho"], sizes, omp, domain=domain)
         else:
-            eqs = [lmmse_filter(H_est, chunk["rho"], domain=domain)]
+            eqs = [lmmse_filter(estimates[domain], chunk["rho"], domain=domain)]
         for K, eq in zip(sizes, eqs):
             if cfg.arithmetic == "fixed":
                 eq = quantize_filter(eq, _W_FMT[domain])
@@ -309,7 +305,8 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     ``shared`` is the block's state common to the configs of the group,
     with its filters built and its bits and unit data noise drawn
     (``_sim_chunk``): the first config receives the data, and the others
-    reuse it.  A config alone runs a chunk of one block:
+    reuse it.  U and B are the scenario's, as a quantized filter holds
+    only codes.  A config alone runs a chunk of one block:
     ``_sim_chunk((cfg,), snr_db, [block_index])[0]``.
     """
     if "rx" not in shared:
@@ -320,9 +317,7 @@ def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
     eq = shared[_filter_key(cfg)]
     yvec = shared["rx"][_DOMAINS.index(det.domain)]
     tx_bits = shared["tx_bits"]
-    U, B = eq.W.shape
-    T = cfg.coherence_len
-
+    U, B, T = cfg.scenario.num_ues, cfg.scenario.num_antennas, cfg.coherence_len
     total_mults = 4 * U * B * T
     executed = 4 * _filter_key(cfg)[2] * U * T   # float arithmetic skips no product
     if cfg.arithmetic == "float":

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from beamspace.channel import (ScenarioConfig, _basis, _draw_angles, apply_power_control,
+from beamspace.channel import (ScenarioConfig, _basis, _draw_angles, _scale_columns,
                                draw_scenario, dump_channel_csv)
 from beamspace.frontend import dft_unitary
 
@@ -91,29 +91,19 @@ def test_power_control_window():
 
 def test_power_control_zero_offset():
     H = 2.0 * np.ones((4, 1), dtype=complex)  # power 16 = 4B
-
-    class _ZeroRng:
-        def uniform(self, lo, hi, size):
-            return np.zeros(size)
-
-    out = apply_power_control(H, 3.0, 4.0, _ZeroRng())
+    out = _scale_columns(H, [[0.0]], 4.0)
     assert abs(np.linalg.norm(out[:, 0]) ** 2 - 4.0) < 1e-12
 
 
 def test_power_control_plus3_offset():
     H = np.ones((4, 1), dtype=complex)
-
-    class _TopRng:
-        def uniform(self, lo, hi, size):
-            return np.full(size, hi)
-
-    out = apply_power_control(H, 3.0, 4.0, _TopRng())
+    out = _scale_columns(H, [[3.0]], 4.0)
     assert abs(np.linalg.norm(out[:, 0]) ** 2 - 4.0 * 10 ** 0.3) < 1e-9
 
 
 def test_power_control_rejects_zero_column():
-    with pytest.raises(ValueError):
-        apply_power_control(np.zeros((4, 1)), 3.0, 4.0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="column 1 has zero power"):
+        _scale_columns(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex), [[0.0, 0.0]], 4.0)
 
 
 def test_dft_grid_path_is_one_beam():
@@ -270,9 +260,15 @@ def test_deferred_channel_build_matches_frozen_copy(los, elsewhere):
 
 
 def test_power_control_on_a_stack_equals_each_matrix_alone():
+    # scaling a stack's columns, and a stacked draw_scenario, give each
+    # matrix byte for byte as it comes alone
     rng = np.random.default_rng(12)
     H = rng.standard_normal((5, 16, 3)) + 1j * rng.standard_normal((5, 16, 3))
-    out = apply_power_control(H, 3.0, 16.0, [np.random.default_rng(i) for i in range(5)])
+    offsets = rng.uniform(-3.0, 3.0, size=(5, 3)).tolist()
+    out = _scale_columns(H, offsets, 16.0)
+    cfg = ScenarioConfig(num_antennas=16, num_ues=3, los=False)
+    stacked = draw_scenario(cfg, [np.random.default_rng(i) for i in range(5)]).H
     for n in range(5):
-        alone = apply_power_control(H[n], 3.0, 16.0, np.random.default_rng(n))
-        assert out[n].tobytes() == alone.tobytes()
+        assert out[n].tobytes() == _scale_columns(H[n], offsets[n:n + 1], 16.0).tobytes()
+        alone = draw_scenario(cfg, np.random.default_rng(n)).H
+        assert stacked[n].tobytes() == alone.tobytes()

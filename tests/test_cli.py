@@ -303,6 +303,18 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
     (["ber", "--snr-grid-db", "0", "--decay-db-per-path", "-3000", "--los", "0"],
      "decay_db_per_path"),
     (["ber", "--snr-grid-db", "0", "--max-placement-tries", "-1"], "max_placement_tries"),
+    (["ber", "--snr-grid-db", "0", "--seed", "-1"], "seed"),
+    (["ber", "--snr-grid-db", "0", "--seed", "-1", "--workers", "2"], "seed"),
+    (["activity", *CSPADE, "--snr-db", "8", "--seed", "-1"], "seed"),
+    # argparse's own errors, and a command flag's value of the wrong type,
+    # name the flag, with no usage text
+    (["snrop", "--target-ber", "abc"], "--target-ber"),
+    (["ber"], "--snr-grid-db"),
+    (["ber", "--snr-grid-db", "0,x"], "--snr-grid-db"),
+    (["ber", "--snr-grid-db", "0", "--bogus", "3"], "--bogus"),
+    (["activity", *CSPADE, "--snr-db", "x"], "--snr-db"),
+    (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "1e3"], "--num-blocks"),
+    (["activity", *CSPADE, "--snr-db", "8", "--bins", "2.5"], "--bins"),
 ])
 def test_empty_grid_or_count_fails_cleanly(flags, name, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])
@@ -390,7 +402,7 @@ def test_extreme_snr_fails_cleanly(flags, n0, capsys):
     assert f"N0 = {n0}" in _one_error_line(rc, capsys)
 
 
-@pytest.mark.parametrize("count", ["-2", "0"])
+@pytest.mark.parametrize("count", ["-2", "0", "2.5"])
 def test_gen_channels_count_below_one_fails_cleanly(count, tmp_path, capsys):
     outdir = tmp_path / "chans"
     rc = main(["gen-channels", *COMMON, "--count", count, "--outdir", str(outdir)])
@@ -432,6 +444,12 @@ def test_power_report(tmp_path):
     (["--clock-hz", "0"], "clock_hz"),
     (["--clock-hz", "nan"], "clock_hz"),
     (["--clock-hz", "inf"], "clock_hz"),
+    (["--alpha", "x"], "--alpha"),
+    (["--arch", "bogus"], "--arch"),
+    (["--mute-fraction", "half"], "--mute-fraction"),
+    (["--clock-hz", "1GHz"], "--clock-hz"),
+    (["--num-ues", "1.5"], "--num-ues"),
+    (["--num-antennas", "x"], "--num-antennas"),
 ])
 def test_power_rejects_degenerate_architecture(flags, name, tmp_path, capsys):
     out = tmp_path / "power.csv"

@@ -309,6 +309,24 @@ def test_stacked_lmmse_equals_single_matrix_calls():
             assert q_stacked[n].scale_exp == q.scale_exp
 
 
+@pytest.mark.parametrize("build", [
+    lambda Hs, rhos: lmmse_filter(Hs, rhos),
+    lambda Hs, rhos: omp_filter(Hs, rhos, 5, "entrywise"),
+], ids=["lmmse", "eomp"])
+def test_quantized_stack_holds_only_codes(build):
+    # A quantized filter is its codes and scale exponent, with no float W:
+    # each filter of a stack views the stack's codes and takes its exponent.
+    # Float filters keep their W.
+    Hs, rhos = _stack_corpus()[0]
+    eq = build(Hs, rhos)
+    q = quantize_filter(eq, BEAMSPACE_W_FMT)
+    assert q.W is None and eq.W.shape == q.fx.codes.shape
+    for n in range(len(Hs)):
+        assert q[n].W is None and eq[n].W is not None
+        assert np.shares_memory(q[n].fx.codes, q.fx.codes)
+        assert q[n].scale_exp == q.scale_exp[n]
+
+
 def test_stacked_quantize_keeps_zero_matrices_at_scale_zero():
     W = np.zeros((3, 2, 4), dtype=complex)
     W[1, 0, 0] = 0.01

@@ -344,6 +344,14 @@ def test_bench_tracer_names_exist():
     assert dict(vars(harness)) == before
 
 
+def test_bench_grid_constant_is_the_harness_grid(monkeypatch):
+    # bench/checks.py keeps its own copy of the operating-point grid for its
+    # bisection check; it imports its sibling bench modules by name.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    checks = importlib.import_module("checks")
+    assert checks.RESOLUTION_DB == harness._RESOLUTION_DB
+
+
 @pytest.mark.parametrize("alg", harness.DETECTORS)
 def test_bench_tracer_sees_every_detector_stage(alg):
     # _sim_block must reach the filter builders and kernels through the

@@ -248,7 +248,7 @@ def _mask_count(eq, y, thr, scheme):
     """Executed real products counted on explicit (U, B, T) keep masks."""
     tw = _threshold_code(thr.tau_w, eq.fx.fmt)
     ty = _threshold_code(thr.tau_y, y.fmt)
-    yc = np.reshape(y.fx.codes, (eq.W.shape[-1], -1))
+    yc = np.reshape(y.fx.codes, (eq.fx.codes.shape[-1], -1))
     kw = [np.abs(eq.fx.codes_re)[:, :, None] >= tw, np.abs(eq.fx.codes_im)[:, :, None] >= tw]
     ky = [np.abs(yc.real)[None] >= ty, np.abs(yc.imag)[None] >= ty]
     if scheme == "cspade":

@@ -103,7 +103,7 @@ def build_sim_config(args: argparse.Namespace, validate: bool = True) -> SimConf
     for key in _CONFIG_KEYS:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
-            values[key] = _parse_value(key, cli_val)
+            values[key] = _parse_value(key, cli_val, f"--{key.replace('_', '-')}: ")
     scen_kwargs = {k: values[k] for k, (t, is_scen) in _CONFIG_KEYS.items()
                    if is_scen and k in values}
     sim_kwargs = {k: values[k] for k, (t, is_scen) in _CONFIG_KEYS.items()
@@ -139,12 +139,13 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _parse_grid(args, dest: str) -> list[float]:
+    flag = f"--{dest.replace('_', '-')}"
     try:
         grid = [float(x) for x in getattr(args, dest).split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"--{dest.replace('_', '-')}: {exc}") from None
+        raise ConfigError(f"{flag}: {exc}") from None
     if not grid:
-        raise ConfigError(f"{dest} needs at least one value")
+        raise ConfigError(f"{flag} needs at least one value")
     return grid
 
 

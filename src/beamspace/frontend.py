@@ -20,17 +20,16 @@ from .numerics import ANTENNA_Y_FMT, BEAMSPACE_Y_FMT, FixedFormat, FxComplexArra
 
 @dataclass(frozen=True)
 class AdcConfig:
-    """ADC resolution and step sizes for one coherence block."""
+    """ADC resolution and step size for one coherence block."""
 
     bits: int
-    unit_step: float   # MSE-optimal step for a standard Gaussian input
     step: float        # unified step of all antennas and both rails; (N, 1, 1) per stack
 
     def __post_init__(self):
         if self.bits < 1:
             raise ValueError("bits must be >= 1")
-        if self.unit_step <= 0 or np.asarray(self.step).min() <= 0:
-            raise ValueError("step sizes must be positive")
+        if np.asarray(self.step).min() <= 0:
+            raise ValueError("step must be positive")
 
 
 class ReceiveVector:

@@ -55,8 +55,8 @@ import numpy as np
 from .channel import ScenarioConfig, draw_scenario
 from .equalize import lmmse_filter, omp_filter, quantize_filter
 from .frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
-                       optimal_unit_step, perfect_csi, receive, unified_step,
-                       unit_noise)
+                       perfect_csi, receive, unified_step, unit_noise)
+from .frontend import optimal_unit_step  # noqa: F401  uncalled; bench/tracing.py binds it here
 from .modem import BITS_PER_SYMBOL, demap_hard, map_bits
 from .numerics import ANTENNA_W_FMT, BEAMSPACE_W_FMT
 from .spade import ThresholdPair, adaptive_mvm, exact_mvm_fixed
@@ -252,8 +252,7 @@ def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: b
     H = channel.H
     N0 = cfg.noise_power(snr_db)
     adc = None if cfg.adc_bits is None else AdcConfig(
-        cfg.adc_bits, optimal_unit_step(cfg.adc_bits),
-        unified_step(H, N0, cfg.adc_bits)[:, None, None])
+        cfg.adc_bits, unified_step(H, N0, cfg.adc_bits)[:, None, None])
     steps = [1.0] * len(H) if adc is None else adc.step.ravel().tolist()
     scales = [step ** 2 for step in steps]              # float pow
     if 0.0 in scales:
@@ -261,7 +260,7 @@ def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: b
     chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
              "rho": np.array([N0 / scale for scale in scales]),
              "blocks": [{"H": h, "N0": N0, "beamspace": beamspace,
-                         "adc": adc and AdcConfig(adc.bits, adc.unit_step, step)}
+                         "adc": adc and AdcConfig(adc.bits, step)}
                         for h, step in zip(H, steps)]}
     if cfg.csi_mode == "ls":
         chunk["pilots"] = dft_pilots(H.shape[-1])

@@ -281,9 +281,9 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
 
 
 @pytest.mark.parametrize("flags, name", [
-    (["ber", "--snr-grid-db", ","], "snr_grid_db"),
-    (["pareto", "--algorithm", "eomp", "--delta-grid", ","], "delta_grid"),
-    (["pareto", *CSPADE, "--tau-w-grid", "0.1", "--tau-y-grid", " , "], "tau_y_grid"),
+    (["ber", "--snr-grid-db", ","], "--snr-grid-db"),
+    (["pareto", "--algorithm", "eomp", "--delta-grid", ","], "--delta-grid"),
+    (["pareto", *CSPADE, "--tau-w-grid", "0.1", "--tau-y-grid", " , "], "--tau-y-grid"),
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "-3"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "0"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--bins", "0"], "bins"),
@@ -350,7 +350,7 @@ def test_max_bits_may_equal_min_bits(tmp_path):
 
 def test_bad_value_names_the_key(tmp_path, capsys):
     rc = main(["ber", *COMMON, "--num-ues", "1.5", "--snr-grid-db", "0"])
-    assert "num_ues" in _one_error_line(rc, capsys)
+    assert _one_error_line(rc, capsys) == "error: --num-ues: bad int for num_ues: '1.5'\n"
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed = 1\nmin_sep_deg = wide\n")
     rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])
@@ -378,7 +378,8 @@ def test_boolean_values_parse(raw, value):
 ])
 def test_none_only_for_optional_keys(flags, key, tmp_path, capsys):
     rc = main([flags[0], *COMMON, *flags[1:]])
-    assert key in _one_error_line(rc, capsys)
+    err = _one_error_line(rc, capsys)
+    assert err.startswith(f"error: --{key.replace('_', '-')}: ") and key in err
     cfg = tmp_path / "none.cfg"
     cfg.write_text(f"seed = 1\n{key} = none\n")
     rc = main(["ber", "--config", str(cfg), "--snr-grid-db", "0"])

@@ -8,8 +8,7 @@ from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
                                 quantize_filter, residual_objective)
 from beamspace.frontend import (AdcConfig, dft_pilots, dft_unitary, ls_estimate,
-                                optimal_unit_step, perfect_csi, receive,
-                                unified_step, unit_noise)
+                                perfect_csi, receive, unified_step, unit_noise)
 from beamspace.numerics import BEAMSPACE_W_FMT, FixedFormat
 
 
@@ -144,7 +143,7 @@ def _harness_instance(i):
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
                       rng).H
     N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
-    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, N0, 6))
+    adc = AdcConfig(6, unified_step(H, N0, 6))
     if rng.integers(2):
         Hb = dft_unitary(perfect_csi(H, adc.step))
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -86,6 +87,17 @@ def test_unit_step_out_of_range():
         optimal_unit_step(0)
     with pytest.raises(ValueError):
         optimal_unit_step(9)
+
+
+def test_adc_config_rejects_bad_bits_and_steps():
+    assert AdcConfig(6, 0.5).step == 0.5
+    with pytest.raises(ValueError, match="bits"):
+        AdcConfig(0, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        AdcConfig(6, 0.0)
+    with pytest.raises(ValueError, match="positive"):
+        AdcConfig(6, np.array([0.5, 0.0, 0.25]).reshape(3, 1, 1))
+    assert [f.name for f in dataclasses.fields(AdcConfig)] == ["bits", "step"]
 
 
 def test_unified_step_single_antenna():
@@ -220,7 +232,7 @@ def _small_setup(seed=0):
     H = scen.H
     N0 = 0.1
     step = unified_step(H, N0, 6)
-    adc = AdcConfig(6, optimal_unit_step(6), step)
+    adc = AdcConfig(6, step)
     return H, N0, adc
 
 
@@ -298,7 +310,7 @@ def test_ls_estimate_golden_relative_error():
     H = scen.H
     N0 = 10 ** (-30 / 10)
     step = unified_step(H, N0, 6)
-    adc = AdcConfig(6, optimal_unit_step(6), step)
+    adc = AdcConfig(6, step)
     P = dft_pilots(4)
     ybar, _ = receive(H, P, N0, adc, _noise(H, P, np.random.default_rng(42)))
     Ha = ls_estimate(ybar.values, P)
@@ -357,8 +369,7 @@ def test_receive_matches_frozen_copy():
         shape = (8,) if i % 4 == 0 else (8, int(rng.integers(1, 130)))
         s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         N0 = float(rng.uniform(0.01, 4.0))
-        adc = AdcConfig(bits, optimal_unit_step(bits),
-                        unified_step(H, N0, bits)) if bits else None
+        adc = AdcConfig(bits, unified_step(H, N0, bits)) if bits else None
         r_new, r_ref = np.random.default_rng([i, 1]), np.random.default_rng([i, 1])
         got = receive(H, s, N0, adc, _noise(H, s, r_new))
         ref = _frozen_receive(H, s, N0, adc, r_ref)
@@ -396,7 +407,7 @@ def test_stacked_pilot_receive_equals_each_block_alone(bits, los):
         H = draw_scenario(cfg, [np.random.default_rng([size, i]) for i in range(size)]).H
         N0 = 10.0 ** (-size / 10.0)
         adc = None if bits is None else AdcConfig(
-            bits, optimal_unit_step(bits), unified_step(H, N0, bits)[:, None, None])
+            bits, unified_step(H, N0, bits)[:, None, None])
         gens = [np.random.default_rng([7, size, i]) for i in range(size)]
         stacked = receive(H, pilots, N0, adc, _noise(H, pilots, gens))
         antenna_only = receive(H, pilots, N0, adc, _noise(
@@ -406,7 +417,7 @@ def test_stacked_pilot_receive_equals_each_block_alone(bits, los):
         for n in range(size):
             gen = np.random.default_rng([7, size, n])
             alone = receive(H[n], pilots, N0, None if adc is None else AdcConfig(
-                bits, adc.unit_step, float(adc.step[n, 0, 0])), _noise(H[n], pilots, gen))
+                bits, float(adc.step[n, 0, 0])), _noise(H[n], pilots, gen))
             assert gen.bit_generator.state == gens[n].bit_generator.state
             for got, ref in zip(stacked + antenna_only[:1], alone + alone[:1]):
                 assert got.domain == ref.domain and got.fmt == ref.fmt
@@ -456,7 +467,7 @@ def _receive_case(blocks, bits, shape):
     step = unified_step(H, N0, bits or 1)[:, None, None]
     if not blocks:
         H, step = H[0], float(step[0, 0, 0])
-    adc = AdcConfig(bits, optimal_unit_step(bits), step) if bits else None
+    adc = AdcConfig(bits, step) if bits else None
 
     def gens():
         rngs = [np.random.default_rng([11, n]) for n in range(blocks or 1)]

@@ -380,7 +380,7 @@ def test_bench_tracer_sees_chunk_stages():
     # step and one LS pilot receive (a frontend.csi span); the data is
     # received block by block.
     assert names["channel.draw"] == 1
-    assert names["frontend.step"] == 2          # optimal_unit_step, unified_step
+    assert names["frontend.step"] == 1          # unified_step
     assert names["frontend.receive"] == 4
 
 
@@ -908,6 +908,27 @@ def test_helper_returns_each_job_to_its_taker():
     assert out == [(k,) if k % 50 == 49 else k * k for k in range(300)]
 
 
+def test_helper_close_skips_queued_jobs_and_ends_its_thread():
+    # close() lets the running job finish, never runs a job still queued,
+    # and returns with the helper thread joined.
+    baseline, ran, started = threading.active_count(), [], threading.Event()
+
+    def running():
+        started.set()
+        while not helper._closed:          # hold the thread until close() is called
+            time.sleep(1e-3)
+        ran.append("running")
+
+    helper = _helper.Helper()
+    take = helper.submit(running)
+    helper.submit(ran.append, "queued")
+    assert started.wait(timeout=60)
+    helper.close()
+    assert take() is None
+    assert ran == ["running"]
+    assert not helper.is_alive() and threading.active_count() == baseline
+
+
 WARM_PROBE = '''
 import multiprocessing
 import sys
@@ -981,6 +1002,7 @@ if __name__ == "__main__":
 
     assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
     assert "beamspace._helper" not in sys.modules     # loaded by a spare-core chunk
+    assert "queue" not in sys.modules                 # loaded with beamspace._helper
     cfg = beamspace.SimConfig(scenario=ScenarioConfig(num_antennas=16, num_ues=2),
                               coherence_len=8, min_bits_per_point=512,
                               min_errors_per_point=0)

@@ -8,7 +8,7 @@ from beamspace.channel import ScenarioConfig, draw_scenario
 from beamspace.equalize import (EqualizerMatrix, lmmse_filter, omp_filter,
                                 quantize_filter)
 from beamspace.frontend import (AdcConfig, ReceiveVector, dft_pilots, dft_unitary,
-                                ls_estimate, optimal_unit_step, perfect_csi, receive,
+                                ls_estimate, perfect_csi, receive,
                                 unified_step, unit_noise)
 from beamspace.modem import map_bits
 from beamspace.numerics import (ANTENNA_W_FMT, BEAMSPACE_W_FMT, BEAMSPACE_Y_FMT,
@@ -223,7 +223,7 @@ def _harness_block(i, T):
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8, los=i % 2 == 0),
                       rng).H
     N0 = 10.0 ** (-rng.uniform(-4.0, 16.0) / 10.0)
-    adc = AdcConfig(6, optimal_unit_step(6), unified_step(H, N0, 6))
+    adc = AdcConfig(6, unified_step(H, N0, 6))
     antenna = i % 4 == 3
     if rng.integers(2):
         Ha = perfect_csi(H, adc.step)

@@ -101,7 +101,7 @@ import beamspace
 rng = np.random.default_rng(0)
 H = rng.standard_normal((64, 8)) + 0j
 s = rng.standard_normal((8, 128)) + 0j
-adc = beamspace.AdcConfig(6, 0.1, 0.5)
+adc = beamspace.AdcConfig(6, 0.5)
 for _ in range(20):
     beamspace.receive(H, s, 0.1, adc, beamspace.unit_noise([rng], (64, 128)))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -281,9 +281,12 @@ def test_target_ber_outside_unit_interval_fails_cleanly(command, target, monkeyp
 
 
 @pytest.mark.parametrize("flags, name", [
-    (["ber", "--snr-grid-db", ","], "--snr-grid-db"),
-    (["pareto", "--algorithm", "eomp", "--delta-grid", ","], "--delta-grid"),
-    (["pareto", *CSPADE, "--tau-w-grid", "0.1", "--tau-y-grid", " , "], "--tau-y-grid"),
+    # an empty grid's error names its flag; the case ids name the field it fills
+    pytest.param(["ber", "--snr-grid-db", ","], "--snr-grid-db", id="flags0-snr_grid_db"),
+    pytest.param(["pareto", "--algorithm", "eomp", "--delta-grid", ","], "--delta-grid",
+                 id="flags1-delta_grid"),
+    pytest.param(["pareto", *CSPADE, "--tau-w-grid", "0.1", "--tau-y-grid", " , "],
+                 "--tau-y-grid", id="flags2-tau_y_grid"),
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "-3"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--num-blocks", "0"], "num_blocks"),
     (["activity", *CSPADE, "--snr-db", "8", "--bins", "0"], "bins"),

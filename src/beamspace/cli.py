@@ -25,8 +25,6 @@ from .harness import (DETECTORS, ConfigError, SimConfig, UnreachableError,
                       snr_operating_point)
 from .numerics import DecompositionError
 
-_BOOL = "bool"
-
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose errors raise ConfigError, for main to print as one line."""
@@ -50,7 +48,7 @@ def _config_keys() -> tuple[dict, set]:
             if type(None) in alternatives:
                 optional.add(f.name)
             typ = next(t for t in alternatives if t is not type(None))
-            keys[f.name] = (_BOOL if typ is bool else typ, is_scen)
+            keys[f.name] = (typ, is_scen)
     return keys, optional
 
 
@@ -67,7 +65,7 @@ def _parse_value(key: str, raw: str, where: str = ""):
         if key in _OPTIONAL_KEYS:
             return None
         raise ConfigError(f"{where}{key} takes no none or empty value, got {raw!r}")
-    if typ is _BOOL:
+    if typ is bool:
         if raw.lower() in ("1", "true", "yes"):
             return True
         if raw.lower() in ("0", "false", "no"):

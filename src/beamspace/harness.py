@@ -13,28 +13,30 @@ index: the stream does not depend on the algorithm.  A round's blocks run
 in contiguous chunks of at most _CHUNK_BLOCKS, drawn one chunk ahead:
 before chunk c runs, chunk c + 1's paths, LS pilot noise and data bits are
 drawn here, and its job (path superpositions, then data noise) is handed
-on.  A chunk runs in three passes.  The front end (channel, ADC step, rho,
-LS pilots; in beamspace only if a detector of the group reads it) runs
-once, stacked over the chunk.  Each distinct filter is built and quantized
-in one stacked call (one LMMSE filter per domain; one OMP run per support
-rule to the group's largest K, whose nested supports give each smaller
-K).  Then block by block the data is received once, and each config runs
-its kernel and demap.  Stacked results equal those of each block alone,
-byte for byte.  A pooled round is one task per worker, each a contiguous
-share of the round's blocks that the worker runs as chunks.
+on.  A chunk runs in two passes.  First it is prepared once, stacked over
+the chunk: the front end (channel, ADC step, rho, LS pilots; in beamspace
+only if a detector of the group reads it), the CSI, and each distinct
+filter, built and quantized in one stacked call (one LMMSE filter per
+domain; one OMP run per support rule to the group's largest K, whose
+nested supports give each smaller K).  Then block by block the data is
+received once, and each config runs its kernel and demap.  Stacked
+results equal those of each block alone, byte for byte.  A pooled round
+is one task per worker, each a contiguous share of the round's blocks
+that the worker runs as chunks.
 ``workers`` counts processes.  When a round runs in this process alone
 and the affinity mask holds a second core (``_spare_core``), its share
-starts one helper thread (``_helper``, imported then) that runs each
-chunk's job, which numpy computes outside the GIL, while this thread runs
-the chunk before; otherwise the job runs here, each block's noise drawn
-as the block takes it.  Each Generator draws in its order alone, one
-thread at a time, so every output is byte-identical with or without the
-helper.  The stage functions called by name here, which a tracer may
+starts a helper, the standard library's one-thread executor, that runs
+each chunk's job, which numpy computes outside the GIL, while this thread
+runs the chunk before; otherwise the job runs here, each block's noise
+drawn as the block takes it.  Each Generator draws in its order alone,
+one thread at a time, so every output is byte-identical with or without
+the helper.  The stage functions called by name here, which a tracer may
 rebind, run on the main thread only.  The helper ends with its share, so
 no thread outlives a round or exists at a fork.
-The standard library's process pool (with ``multiprocessing``) is
-imported only when a process builds its first pool, so a process that
-never pools, as at the default ``workers=1``, never loads it.
+``import beamspace`` loads no part of ``concurrent.futures``: the first
+share with a spare core imports its thread half (with ``logging``), and
+the first pool its process pool (with ``multiprocessing``), so a process
+that never pools, as at the default ``workers=1``, never loads the latter.
 An operating point is found by bisection on a fixed 0.25 dB grid, and
 one loop (``_search``) drives every search: a Pareto sweep's candidates
 advance in lockstep, so that those probing one SNR form a group; every
@@ -220,19 +222,20 @@ def _filter_key(cfg: SimConfig) -> tuple:
 def _draw_chunk(cfg: SimConfig, snr_db: float, indices, helper=None) -> tuple:
     """The draws of blocks ``indices``, each from its own Generator in stream
     order: here the channel's (draw_scenario), the LS pilots' unit noise and
-    the data bits, narrowed to int8 once drawn; then one job, on ``helper``
-    if given: the path superpositions, then each block's unit data noise.
-    Returns (channel, pilot noise or None, bits, take): ``take()`` gives an
-    iterator of the blocks' data noise, waiting for the job; without a
-    helper it superposes at the first read of H and draws each block's
-    noise as the block takes it."""
+    the data bits, narrowed to int8 once drawn; then one job, submitted to
+    ``helper`` (a one-thread executor) if given: the path superpositions,
+    then each block's unit data noise.  Returns (channel, pilot noise or
+    None, bits, take): ``take()`` gives an iterator of the blocks' data
+    noise, waiting for the job and raising its exception; without a helper
+    it superposes at the first read of H and draws each block's noise as
+    the block takes it."""
     rngs = [_block_rng(cfg, snr_db, i) for i in indices]
     channel = draw_scenario(cfg.scenario, rngs)
     B, U, T = cfg.scenario.num_antennas, cfg.scenario.num_ues, cfg.coherence_len
     pilot_noise = unit_noise(rngs, (len(rngs), B, U)) if cfg.csi_mode == "ls" else None
     bits = [r.integers(0, 2, size=(T, U, BITS_PER_SYMBOL)).astype(np.int8) for r in rngs]
     noise = (unit_noise([r], (B, T)) for r in rngs)
-    take = helper.submit(_chunk_job, channel, noise) if helper else lambda: noise
+    take = helper.submit(_chunk_job, channel, noise).result if helper else lambda: noise
     return channel, pilot_noise, bits, take
 
 
@@ -244,11 +247,19 @@ def _chunk_job(channel, noise):
     return (drawn.pop() for _ in range(len(drawn)))
 
 
-def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: bool) -> dict:
-    """The state up to the CSI of a chunk drawn by ``_draw_chunk``, common to
-    a group, in one pass: stacked, the channels, steps, rho and (LS) the
-    received pilots, in beamspace too if ``beamspace``; per block
-    (``blocks``), its channel, N0 and ADC."""
+def _prepare_chunk(cfgs: tuple, snr_db: float, channel, pilot_noise) -> list[dict]:
+    """A chunk drawn by ``_draw_chunk``, prepared for a group in one pass
+    stacked over the chunk: the channels, steps, rho and (LS) the received
+    pilots, in beamspace too if a detector of the group reads it; the CSI
+    (LS: one ls_estimate call per domain read; perfect: one perfect_csi
+    call, and one dft_unitary call for beamspace); one lmmse_filter call
+    per domain, one omp_filter call per support rule (to the group's
+    largest K) and one quantize_filter call per _filter_key.  Returns one
+    dict per block: its channel, N0, ADC, beamspace flag and filters."""
+    cfg = cfgs[0]
+    keys = list(dict.fromkeys(map(_filter_key, cfgs)))
+    domains = {key[0] for key in keys}
+    beamspace = "beamspace" in domains
     H = channel.H
     N0 = cfg.noise_power(snr_db)
     adc = None if cfg.adc_bits is None else AdcConfig(
@@ -257,45 +268,30 @@ def _front_end(cfg: SimConfig, snr_db: float, channel, pilot_noise, beamspace: b
     scales = [step ** 2 for step in steps]              # float pow
     if 0.0 in scales:
         raise ConfigError(f"the ADC step^2 underflows to 0 at N0 = {N0}")
-    chunk = {"H": H, "step": np.reshape(steps, (-1, 1, 1)),
-             "rho": np.array([N0 / scale for scale in scales]),
-             "blocks": [{"H": h, "N0": N0, "beamspace": beamspace,
-                         "adc": adc and AdcConfig(adc.bits, step)}
-                        for h, step in zip(H, steps)]}
+    rho = np.array([N0 / scale for scale in scales])
+    blocks = [{"H": h, "N0": N0, "beamspace": beamspace,
+               "adc": adc and AdcConfig(adc.bits, step)} for h, step in zip(H, steps)]
     if cfg.csi_mode == "ls":
-        chunk["pilots"] = dft_pilots(H.shape[-1])
-        chunk["pilot_rx"] = receive(H, chunk["pilots"], N0, adc, pilot_noise, beamspace)
-    return chunk
-
-
-def _build_filters(cfgs: tuple, chunk: dict) -> None:
-    """Each distinct filter of the group for every block of a chunk: the CSI
-    in one pass (LS: one ls_estimate call per domain the group reads;
-    perfect: one perfect_csi call, and one dft_unitary call if a detector
-    reads beamspace), then one lmmse_filter call per domain, one omp_filter
-    call per support rule (to the group's largest K) and one quantize_filter
-    call per _filter_key.  Block n's filters go into ``chunk["blocks"][n]``."""
-    cfg = cfgs[0]
-    keys = list(dict.fromkeys(map(_filter_key, cfgs)))
-    domains = {key[0] for key in keys}
-    if cfg.csi_mode == "ls":
-        estimates = {d: ls_estimate(chunk["pilot_rx"][_DOMAINS.index(d)].values,
-                                    chunk["pilots"]) for d in _DOMAINS if d in domains}
+        pilots = dft_pilots(H.shape[-1])
+        pilot_rx = receive(H, pilots, N0, adc, pilot_noise, beamspace)
+        estimates = {d: ls_estimate(pilot_rx[_DOMAINS.index(d)].values, pilots)
+                     for d in _DOMAINS if d in domains}
     else:
-        estimates = {"antenna": perfect_csi(chunk["H"], chunk["step"])}
-        if "beamspace" in domains:
+        estimates = {"antenna": perfect_csi(H, np.reshape(steps, (-1, 1, 1)))}
+        if beamspace:
             estimates["beamspace"] = dft_unitary(estimates["antenna"])
     for domain, omp in dict.fromkeys(key[:2] for key in keys):
         sizes = [k for d, o, k in keys if (d, o) == (domain, omp)]
         if omp:
-            eqs = omp_filter(estimates[domain], chunk["rho"], sizes, omp, domain=domain)
+            eqs = omp_filter(estimates[domain], rho, sizes, omp, domain=domain)
         else:
-            eqs = [lmmse_filter(estimates[domain], chunk["rho"], domain=domain)]
+            eqs = [lmmse_filter(estimates[domain], rho, domain=domain)]
         for K, eq in zip(sizes, eqs):
             if cfg.arithmetic == "fixed":
                 eq = quantize_filter(eq, _W_FMT[domain])
-            for n, block in enumerate(chunk["blocks"]):
+            for n, block in enumerate(blocks):
                 block[domain, omp, K] = eq[n]
+    return blocks
 
 
 def _sim_block(cfg: SimConfig, shared: dict) -> BlockResult:
@@ -346,19 +342,15 @@ def _sim_chunk(cfgs: tuple, snr_db: float, indices, drawn=None) -> list[BlockRes
     but the algorithm and its params: one BlockResult per config and block,
     block by block in the group's order.
 
-    Three passes (module docstring) on the draws ``drawn`` of
-    ``_draw_chunk``, made here if not given: ``_front_end`` and
-    ``_build_filters`` once over the chunk, then per block each config's
-    ``_sim_block``.  The chunk ``[block_index]`` gives the results of that
-    block in any chunk.
+    Two passes (module docstring) on the draws ``drawn`` of
+    ``_draw_chunk``, made here if not given: ``_prepare_chunk`` once over
+    the chunk, then per block each config's ``_sim_block``.  The chunk
+    ``[block_index]`` gives the results of that block in any chunk.
     """
     channel, pilot_noise, bits, take = drawn or _draw_chunk(cfgs[0], snr_db, indices)
     noise = take()                      # the superpositions come first
-    chunk = _front_end(cfgs[0], snr_db, channel, pilot_noise,
-                       any(c.detector.domain == "beamspace" for c in cfgs))
-    _build_filters(cfgs, chunk)
     results = []
-    for shared, tx_bits in zip(chunk["blocks"], bits):
+    for shared, tx_bits in zip(_prepare_chunk(cfgs, snr_db, channel, pilot_noise), bits):
         shared["tx_bits"], shared["noise"] = tx_bits, next(noise)
         results += [_sim_block(c, shared) for c in cfgs]
         shared.clear()                  # the block's data goes before the next is taken
@@ -421,12 +413,14 @@ def _sim_share(cfgs: tuple, snr_db: float, indices: list, spare_core=False) -> l
     """Blocks ``indices`` of a group, run as the fewest chunks of near-equal
     size that hold at most _CHUNK_BLOCKS blocks each (``_sim_chunk``), one
     chunk ahead: chunk c + 1 is drawn (``_draw_chunk``) before chunk c
-    runs.  With ``spare_core``, a helper thread runs each chunk's job."""
+    runs.  With ``spare_core``, a helper, the standard library's one-thread
+    executor, runs each chunk's job; it is imported here, so a process
+    without a spare core never loads it."""
     chunks = _split(indices, -(-len(indices) // _CHUNK_BLOCKS))
     helper = None
     if spare_core:
-        from ._helper import Helper     # a process without a spare core never loads it
-        helper = Helper()
+        from concurrent.futures import ThreadPoolExecutor
+        helper = ThreadPoolExecutor(1, "beamspace-chunk-helper")
     try:
         drawn, results = [_draw_chunk(cfgs[0], snr_db, chunks[0], helper)], []
         for c, chunk in enumerate(chunks):
@@ -436,7 +430,7 @@ def _sim_share(cfgs: tuple, snr_db: float, indices: list, spare_core=False) -> l
         return results
     finally:
         if helper:
-            helper.close()
+            helper.shutdown(cancel_futures=True)   # a job not yet started never runs
 
 
 @_pool_scope()

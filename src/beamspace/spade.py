@@ -57,12 +57,11 @@ def _check_operands(eq: EqualizerMatrix, y: ReceiveVector) -> None:
         raise ValueError(f"domain mismatch: filter {eq.domain!r} vs data {y.domain!r}")
 
 
-def _requantize(acc: np.ndarray, eq: EqualizerMatrix, y: ReceiveVector,
-                out_fmt: FixedFormat) -> FxComplexArray:
-    """Symbol estimates in out_fmt from accumulators of W and Y codes, which
-    carry both operands' fractional bits and the filter's extra 2^k gain."""
+def _requantize(acc: np.ndarray, eq: EqualizerMatrix, y: ReceiveVector) -> FxComplexArray:
+    """Symbol estimates in ESTIMATE_FMT from accumulators of W and Y codes,
+    which carry both operands' fractional bits and the filter's extra 2^k gain."""
     gain = 2.0 ** (-eq.fx.fmt.frac - y.fmt.frac - eq.scale_exp)
-    return FxComplexArray.quantize(acc * gain, out_fmt)
+    return FxComplexArray.quantize(acc * gain, ESTIMATE_FMT)
 
 
 def check_float64_exact(num_beams: int, w_fmt: FixedFormat, y_fmt: FixedFormat) -> None:
@@ -82,8 +81,7 @@ def _below(x: np.ndarray, t: float, per_rail: bool, beam_axis: int):
     return x * low, 2 * low.sum(axis=1 - beam_axis)
 
 
-def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
-         out_fmt: FixedFormat):
+def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str):
     """acc = W Y - W_lo Y_lo on float64 codes; returns (FxComplexArray, ActivityReport)."""
     _check_operands(eq, y)
     W = eq.fx.codes
@@ -100,15 +98,14 @@ def _mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str,
         Y_lo, n_y = _below(Y, ty, scheme != "cspade", 0)
         acc -= W_lo @ Y_lo
         skipped = int(n_w @ n_y)
-    est = _requantize(acc.reshape((U,) + y.fx.codes.shape[1:]), eq, y, out_fmt)
+    est = _requantize(acc.reshape((U,) + y.fx.codes.shape[1:]), eq, y)
     return est, ActivityReport(4 * U * Y.size - skipped, 4 * U * Y.size)
 
 
-def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector,
-                    out_fmt: FixedFormat = ESTIMATE_FMT) -> FxComplexArray:
+def exact_mvm_fixed(eq: EqualizerMatrix, y: ReceiveVector) -> FxComplexArray:
     """Bit-exact fixed-point MVM: integer partial products, wide accumulator,
-    2^-k compensation, saturating requantization to out_fmt."""
-    return _mvm(eq, y, ThresholdPair(0.0, 0.0), "exact", out_fmt)[0]
+    2^-k compensation, saturating requantization to ESTIMATE_FMT."""
+    return _mvm(eq, y, ThresholdPair(0.0, 0.0), "exact")[0]
 
 
 def _threshold_code(tau: float, fmt: FixedFormat) -> float:
@@ -117,17 +114,16 @@ def _threshold_code(tau: float, fmt: FixedFormat) -> float:
     return float(round_ties_away(tau * 2.0 ** fmt.frac))
 
 
-def adaptive_mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
-                 scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT):
+def adaptive_mvm(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair, scheme: str):
     """SPADE/CSPADE MVM: skip products whose operands both fall strictly below
     their thresholds.  Returns (FxComplexArray, ActivityReport)."""
     if scheme not in ("spade", "cspade"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    return _mvm(eq, y, thr, scheme, out_fmt)
+    return _mvm(eq, y, thr, scheme)
 
 
 def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
-                     scheme: str, out_fmt: FixedFormat = ESTIMATE_FMT) -> FxComplexArray:
+                     scheme: str) -> FxComplexArray:
     """Independent oracle: materialize skip masks, then run exact Python-integer
     arithmetic on the masked operands.  Must match adaptive_mvm bit-exactly."""
     _check_operands(eq, y)
@@ -170,4 +166,4 @@ def masked_reference(eq: EqualizerMatrix, y: ReceiveVector, thr: ThresholdPair,
                 else:
                     raise ValueError(f"unknown scheme {scheme!r}")
             acc[u, t] = complex(sr, si)
-    return _requantize(acc if batched else acc[:, 0], eq, y, out_fmt)
+    return _requantize(acc if batched else acc[:, 0], eq, y)

@@ -502,7 +502,7 @@ def test_config_keys_cover_every_dataclass_field():
                 continue
             default = getattr(obj, f.name)
             typ = optional[f.name] if default is None else type(default)
-            expected[f.name] = ("bool" if typ is bool else typ, is_scen)
+            expected[f.name] = (typ, is_scen)
     assert _CONFIG_KEYS == expected
     cfg = build_sim_config(argparse.Namespace(config=None, max_placement_tries="5",
                                               los="false", delta="0.5"),

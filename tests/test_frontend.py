@@ -454,7 +454,7 @@ def _receive_case(blocks, bits, shape):
     """H, s, N0, the ADC and a factory of the Generators: for blocks 0 one
     64 x 8 block with a float step and one Generator alone, as the data
     receive of _sim_block; else a stack of ``blocks`` with steps (N, 1, 1)
-    and a list of Generators, as the pilot receive of _front_end."""
+    and a list of Generators, as the pilot receive of _prepare_chunk."""
     H = draw_scenario(ScenarioConfig(num_antennas=64, num_ues=8),
                       [np.random.default_rng([3, n]) for n in range(blocks or 1)]).H
     if shape == "pilots":

@@ -1,10 +1,10 @@
+import concurrent.futures
 import dataclasses
 import importlib.util
 import multiprocessing
 import subprocess
 import sys
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-import beamspace._helper as _helper
 import beamspace.channel as channel
 import beamspace.equalize as equalize
 import beamspace.harness as harness
@@ -678,15 +677,15 @@ def helpers(monkeypatch):
     of the spare-core rule; ``helpers.started`` counts the helpers started."""
     started = []
 
-    class Counted(_helper.Helper):
-        def __init__(self):
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
             started.append(self)
-            super().__init__()
+            super().__init__(*args, **kwargs)
 
     def force(on):
         monkeypatch.setattr(harness, "_spare_core", lambda: on)
 
-    monkeypatch.setattr(_helper, "Helper", Counted)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     force.started = started
     return force
 
@@ -870,65 +869,6 @@ def test_bench_stages_run_on_the_main_thread_only(helpers, monkeypatch):
             "omp_filter", "adaptive_mvm", "solve_hermitian_pd"} <= {n for n, _ in threads}
 
 
-def test_helper_returns_each_job_to_its_taker():
-    # Under frequent thread switches and an uneven consumer that submits one
-    # job ahead: every result taken in order, none lost, and a job's failure
-    # raised by its own taker alone.
-    def work(k):
-        if k % 50 == 49:
-            raise KeyError(k)
-        return k * k
-
-    def consume(out):
-        helper = _helper.Helper()
-        try:
-            takes = [helper.submit(work, 0)]
-            for k in range(300):
-                if k + 1 < 300:
-                    takes.append(helper.submit(work, k + 1))
-                if k % 7 == 0:
-                    time.sleep(1e-4)
-                try:
-                    out.append(takes.pop(0)())
-                except KeyError as exc:
-                    out.append(exc.args)
-        finally:
-            helper.close()
-
-    out = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        consumer = threading.Thread(target=consume, args=(out,))
-        consumer.start()
-        consumer.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not consumer.is_alive()
-    assert out == [(k,) if k % 50 == 49 else k * k for k in range(300)]
-
-
-def test_helper_close_skips_queued_jobs_and_ends_its_thread():
-    # close() lets the running job finish, never runs a job still queued,
-    # and returns with the helper thread joined.
-    baseline, ran, started = threading.active_count(), [], threading.Event()
-
-    def running():
-        started.set()
-        while not helper._closed:          # hold the thread until close() is called
-            time.sleep(1e-3)
-        ran.append("running")
-
-    helper = _helper.Helper()
-    take = helper.submit(running)
-    helper.submit(ran.append, "queued")
-    assert started.wait(timeout=60)
-    helper.close()
-    assert take() is None
-    assert ran == ["running"]
-    assert not helper.is_alive() and threading.active_count() == baseline
-
-
 WARM_PROBE = '''
 import multiprocessing
 import sys
@@ -988,6 +928,7 @@ import sys
 from dataclasses import replace
 
 POOLING = ("multiprocessing", "concurrent.futures", "csv")
+PROCESS_POOL = ("multiprocessing", "concurrent.futures.process", "csv")
 FIRST_FORK = ("concurrent.futures.process", "numpy.fft", "numpy.random")
 
 
@@ -1001,13 +942,19 @@ if __name__ == "__main__":
     from beamspace.channel import ScenarioConfig
 
     assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
-    assert "beamspace._helper" not in sys.modules     # loaded by a spare-core chunk
-    assert "queue" not in sys.modules                 # loaded with beamspace._helper
+    assert "queue" not in sys.modules                 # loaded with the helper's executor
     cfg = beamspace.SimConfig(scenario=ScenarioConfig(num_antennas=16, num_ues=2),
                               coherence_len=8, min_bits_per_point=512,
                               min_errors_per_point=0)
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})             # one core: no chunk starts a helper
     serial = beamspace.run_ber_point(cfg, 6.0)
     assert not loaded(POOLING, sys.modules), loaded(POOLING, sys.modules)
+    os.sched_setaffinity(0, cores)
+    if len(cores) >= 2:
+        # a helper loads the thread half of concurrent.futures, never a process pool
+        assert beamspace.run_ber_point(cfg, 6.0) == serial
+        assert not loaded(PROCESS_POOL, sys.modules), loaded(PROCESS_POOL, sys.modules)
 
     at_fork = []
     os.register_at_fork(before=lambda: at_fork.append(set(sys.modules)))
@@ -1026,8 +973,10 @@ if __name__ == "__main__":
                     reason="pool workers are not forked by default")
 def test_pool_machinery_loads_at_the_first_fork(tmp_path):
     # A fresh interpreter, because this one has long loaded the pool modules:
-    # importing the package and a serial BER point load no pool machinery (nor
-    # csv), and a pooled point loads it before its workers fork.
+    # importing the package and a serial BER point on one core load no pool
+    # machinery (nor csv); on two or more cores a serial point's helper loads
+    # the thread executor but no process pool; and a pooled point loads the
+    # process pool before its workers fork.
     src = Path(harness.__file__).resolve().parents[1]
     script = tmp_path / "footprint_probe.py"
     script.write_text(FOOTPRINT_PROBE)
